@@ -28,9 +28,10 @@ int main() {
   rct::RoutingTree net = steiner::make_two_pin(
       12000.0, rct::Driver{"issue_q", 120.0, 40.0 * ps}, sink, tech);
 
-  // Tradeoff curve: best delay at each exact buffer count, with and without
+  // Tradeoff curve: the best delay with at most k buffers, with and without
   // noise constraints (the Lillis count-indexed extension makes this one DP
-  // run per mode).
+  // run per mode). per_count lists only the counts that buy slack, so a
+  // BuffOpt(k) entry is the last BuffOpt row with at most k buffers.
   core::ToolOptions opt;
   opt.vg.max_buffers = 8;
   opt.vg.noise_constraints = false;
@@ -44,7 +45,7 @@ int main() {
     std::string buff = "-";
     std::string clean = "no candidate";
     for (const auto& b : noise_curve.vg.per_count) {
-      if (b.count != d.count) continue;
+      if (b.count > d.count) break;
       const auto a = core::assignment_for(b.plan);
       const auto timing = elmore::analyze(noise_curve.tree, a, library);
       buff = util::Table::num(timing.max_delay / ps, 1) + " ps";

@@ -170,6 +170,26 @@ void ReferenceDp::insert_buffers(NodeLists& lists, rct::NodeId v) {
   }
   for (auto& phase_lists : lists.by_phase)
     for (CandList& list : phase_lists) prune(list);
+  if (opt_.prune_candidates)
+    for (auto& phase_lists : lists.by_phase) prune_cross_count(phase_lists);
+}
+
+// Cross-count dominance pruning: drops every candidate of bucket k that a
+// same-polarity candidate of some bucket j < k dominates on all five fields
+// (detail::dominates). The plain all-pairs scan. Ascending k, so each lower
+// bucket is already final; comparing against its survivors only loses
+// nothing, because dominance is transitive.
+void ReferenceDp::prune_cross_count(std::vector<CandList>& buckets) {
+  for (std::size_t k = 1; k < buckets.size(); ++k) {
+    const std::size_t before = buckets[k].size();
+    std::erase_if(buckets[k], [&](const VgCand& c) {
+      for (std::size_t j = 0; j < k; ++j)
+        for (const VgCand& d : buckets[j])
+          if (dominates(d, c)) return true;
+      return false;
+    });
+    stats_.pruned_cross_count += before - buckets[k].size();
+  }
 }
 
 NodeLists ReferenceDp::merge(const NodeLists& l, const NodeLists& r) {
@@ -312,13 +332,30 @@ void verify_cand_list(const CandSpan& view, const VgOptions& opt,
   }
 }
 
+void verify_cross_count(const std::vector<SoAList>& buckets) {
+  for (std::size_t k = 1; k < buckets.size(); ++k) {
+    const CandSpan c = buckets[k].span();
+    for (std::size_t j = 0; j < k; ++j) {
+      const CandSpan d = buckets[j].span();
+      for (std::size_t i = 0; i < c.n; ++i)
+        for (std::size_t e = 0; e < d.n; ++e)
+          NBUF_ASSERT_CTX(!dominates(d, e, c, i),
+                          util::ctx("bucket", k, "i", i, "dominator bucket",
+                                    j, "dominator", e));
+    }
+  }
+}
+
 VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
                   const VgOptions& opt, const util::VgStats& stats) {
   const rct::Driver& drv = tree.driver();
   VgResult result;
 
   // Fold in the driver (Fig. 10 Steps 2-4); only source-polarity candidates
-  // are electrically valid solutions.
+  // are electrically valid solutions. A count's row is kept only when its
+  // slack beats every row with fewer buffers: the (count, slack) Pareto
+  // frontier, which cross-count pruning cannot change (it only ever drops
+  // candidates that a lower count already beats).
   for (std::size_t k = 0; k <= opt.max_buffers; ++k) {
     const CandList& list = at_source.by_phase[0][k];
     if (list.empty()) continue;
@@ -344,7 +381,9 @@ VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
         found = true;
       }
     }
-    if (found) result.per_count.push_back(std::move(best));
+    if (found && (result.per_count.empty() ||
+                  best.slack > result.per_count.back().slack))
+      result.per_count.push_back(std::move(best));
   }
 
   result.stats = stats;
@@ -361,7 +400,9 @@ VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
     return result;
   }
 
-  const CountBest* chosen = nullptr;
+  // MaxSlack, or no count meets timing: the best slack overall, which on the
+  // frontier is the last row.
+  const CountBest* chosen = &result.per_count.back();
   if (opt.objective == VgObjective::MinBuffersMeetingConstraints) {
     for (const CountBest& cb : result.per_count) {
       if (cb.slack >= 0.0) {
@@ -369,11 +410,6 @@ VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
         break;  // per_count ascends by count
       }
     }
-  }
-  if (chosen == nullptr) {
-    // MaxSlack, or no count meets timing: take the best slack overall.
-    for (const CountBest& cb : result.per_count)
-      if (chosen == nullptr || cb.slack > chosen->slack) chosen = &cb;
   }
 
   result.feasible = true;  // noise-clean by construction in noise mode

@@ -3,8 +3,8 @@
 //  * multi-type buffer libraries with inverting + non-inverting buffers and
 //    signal-polarity tracking (Lillis/Cheng/Lin);
 //  * candidate lists indexed by the number of inserted buffers (Lillis),
-//    giving the delay-optimal solution for EVERY buffer count k — this is
-//    what lets the paper run DelayOpt(k) and solve Problem 3;
+//    giving the delay-optimal solution with at most k buffers for EVERY k —
+//    this is what lets the paper run DelayOpt(k) and solve Problem 3;
 //  * noise avoidance (Algorithm 3 / BuffOpt, Figs. 10-11): candidates carry
 //    (I, NS) alongside (C, q); a buffer or the driver is never committed
 //    onto a candidate whose noise R_g * I exceeds its noise slack NS, and
@@ -13,9 +13,10 @@
 //    than DelayOpt.
 //
 // With noise_constraints = false this is exactly the DelayOpt baseline of
-// Section V. Pruning is by (load, slack) only, as in the paper (Step 7);
-// Theorem 5 shows this never discards the optimum for a single-type
-// library.
+// Section V. Within a count bucket, pruning is by (load, slack) only, as in
+// the paper (Step 7); Theorem 5 shows this never discards the optimum for a
+// single-type library. Across buckets, a candidate that a lower count beats
+// on all five DP fields is dropped too (docs/ALGORITHMS.md).
 #pragma once
 
 #include <limits>
@@ -78,9 +79,10 @@ struct VgOptions {
   bool noise_constraints = true;   // true = BuffOpt, false = DelayOpt
   std::size_t max_buffers = 24;    // k cap for the count-indexed lists
   VgObjective objective = VgObjective::MaxSlack;
-  // Ablation knob: disable (load, slack) dominance pruning (Step 7). The
-  // result is unchanged — pruning is provably safe — but candidate lists
-  // grow; bench/ablA_pruning measures by how much.
+  // Ablation knob: disable dominance pruning — (load, slack) within each
+  // count bucket (Step 7) and the five-field rule across count buckets
+  // (docs/ALGORITHMS.md). The result is unchanged — pruning is provably safe
+  // — but candidate lists grow; bench/ablA_pruning measures by how much.
   bool prune_candidates = true;
   // Simultaneous wire sizing (Lillis et al.): when non-empty, every wire is
   // additionally assigned one of these widths during the same DP. Width 0
@@ -117,8 +119,9 @@ struct VgOptions {
   bool check_invariants = false;
 };
 
-// The best solution of exactly this total cost (= buffer count when no
-// buffer_costs are configured).
+// One row of VgResult::per_count: the best solution of this total cost (=
+// buffer count when no buffer_costs are configured), which beats every
+// smaller cost.
 struct CountBest {
   std::size_t count = 0;
   double slack = 0.0;       // q at the source output
@@ -139,8 +142,10 @@ struct VgResult {
   // Chosen non-base wire widths (empty unless sizing was enabled).
   std::vector<PlannedWire> wire_widths;
   double slack = 0.0;
-  std::vector<CountBest> per_count;  // ascending by count; only counts that
-                                     // produced any candidate appear
+  // The (count, slack) Pareto frontier, ascending by count: a count appears
+  // only when its best slack is strictly greater than that of every count
+  // below it, so slack strictly increases along the table.
+  std::vector<CountBest> per_count;
   // Ablation counters (legacy aliases of the fields in `stats`, kept for
   // the existing benches: created = stats.candidates_generated, max list =
   // stats.peak_list_size, noise pruned = stats.pruned_infeasible).

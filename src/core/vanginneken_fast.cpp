@@ -114,6 +114,7 @@ class FastVgRun {
   void insert_buffers(Lists& lists, rct::NodeId v);
   void insert_buffers_naive(Lists& lists, rct::NodeId v);
   void insert_buffers_best_pred(Lists& lists, rct::NodeId v);
+  void prune_cross_count(std::vector<SoAList>& buckets);
   Lists merge(Lists l, Lists r);
 
   void apply_wire_and_prune(SoAList& list, const rct::Wire& w);
@@ -423,6 +424,47 @@ void FastVgRun::insert_buffers(Lists& lists, rct::NodeId v) {
       merge_tail_and_prune(list, prefix);
     }
   }
+  if (!opt_.prune_candidates) return;
+  for (auto& phase_lists : lists.node.by_phase) {
+    prune_cross_count(phase_lists);
+    if (verify_lists_enabled(opt_)) verify_cross_count(phase_lists);
+  }
+}
+
+// Cross-count dominance pruning, the same rule and ascending-k order as
+// ReferenceDp::prune_cross_count. Every bucket is a (load, slack)
+// staircase — loads and slacks both strictly ascend — so the entries of
+// bucket j with load <= c's and slack >= c's are one contiguous index
+// range [lo, hi), and only that range needs the current/noise-slack/dhat
+// test. Walking c up bucket k's staircase moves both ends of the range
+// right only, so each bucket pair costs one merge-like pass instead of a
+// search per candidate. Survivors compact in place, keeping the order.
+void FastVgRun::prune_cross_count(std::vector<SoAList>& buckets) {
+  for (std::size_t k = 1; k < buckets.size(); ++k) {
+    SoAList& list = buckets[k];
+    const std::size_t n = list.size();
+    if (n == 0) continue;
+    const CandSpan c = list.span();
+    keep_.assign(n, 1);
+    for (std::size_t j = 0; j < k; ++j) {
+      const CandSpan d = buckets[j].span();
+      std::size_t lo = 0, hi = 0;
+      for (std::size_t i = 0; i < n && lo < d.n; ++i) {
+        while (hi < d.n && d.load[hi] <= c.load[i]) ++hi;
+        while (lo < d.n && d.slack[lo] < c.slack[i]) ++lo;
+        for (std::size_t e = lo; e < hi && keep_[i] != 0; ++e)
+          if (dominates(d, e, c, i)) keep_[i] = 0;
+      }
+    }
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (keep_[i] == 0) continue;
+      if (kept != i) copy_elem(list, kept, list, i);
+      ++kept;
+    }
+    stats_.pruned_cross_count += n - kept;
+    list.set_size(kept);
+  }
 }
 
 // The seed scan: every type reads every candidate of every bucket, O(b·m)
@@ -632,7 +674,6 @@ VgResult FastVgRun::run() {
   NBUF_ASSERT_MSG(at_source.pending.empty(),
                   "lazy wire offsets must be flushed before the driver fold");
   stats_.pool_reuses = pool_.reuses();
-  stats_.soa_block_reuses = pool_.reuses();
   // Materialize the source lists as AoS NodeLists for the shared driver
   // fold (finalize is common to both kernels) — a one-time conversion
   // linear in the surviving source candidates.

@@ -188,6 +188,30 @@ inline bool soa_cand_less(const CandSpan& s, std::size_t i, std::size_t j,
   return lo > 0 && slacks[lo - 1] >= slack;
 }
 
+// Cross-count inferiority (the paper's I1 >= I2 ∧ NS1 <= NS2 rule lifted
+// into the count dimension): candidate d, of the same polarity and a lower
+// count bucket, is at least as good as c on all five DP fields. Every later
+// DP step (wire, merge, buffer, driver fold) is monotone in each field under
+// IEEE rounding, so whatever c completes to, d completes to a solution with
+// fewer buffers and at least the same slack and noise/slew headroom, so c
+// is never needed for the chosen answer or a per_count frontier row (a
+// proof for DelayOpt; under noise or slew limits Step 7's (load, slack)
+// pruning is blind to the other fields, so there it is checked by
+// tests/test_golden_answers — docs/ALGORITHMS.md). Exact compares, no
+// tolerance.
+[[nodiscard]] inline bool dominates(const VgCand& d, const VgCand& c) {
+  return d.load <= c.load && d.slack >= c.slack && d.current <= c.current &&
+         d.noise_slack >= c.noise_slack && d.dhat <= c.dhat;
+}
+
+// Lane form: element i of span d against element j of span c.
+[[nodiscard]] inline bool dominates(const CandSpan& d, std::size_t i,
+                                    const CandSpan& c, std::size_t j) {
+  return d.load[i] <= c.load[j] && d.slack[i] >= c.slack[j] &&
+         d.current[i] <= c.current[j] &&
+         d.noise_slack[i] >= c.noise_slack[j] && d.dhat[i] <= c.dhat[j];
+}
+
 // Full structural verification of one post-prune candidate list — the
 // checks that used to live only in tests/test_vg_kernel, promoted into the
 // library so every build at contract level 2 (and every caller that sets
@@ -205,6 +229,13 @@ void verify_cand_list(const CandList& list, const VgOptions& opt);
 // candidate under noise constraints. The arena resolves plan ties.
 void verify_cand_list(const CandSpan& view, const VgOptions& opt,
                       const PlanArena& arena);
+
+// Node-level sibling of verify_cand_list, run by the fast kernel after the
+// cross-count sweep of each buffer site: no candidate of bucket k is
+// dominated by any candidate of a bucket j < k of the same polarity.
+// The plain all-pairs scan, independent of the kernel's staircase-range
+// search; throws std::logic_error (NBUF_ASSERT) on violation.
+void verify_cross_count(const std::vector<SoAList>& buckets);
 
 // True when the kernels should call verify_cand_list after each step:
 // requested explicitly, or the build carries full structural checks
@@ -357,6 +388,7 @@ class ReferenceDp {
   void prune(CandList& list);
   void extend_wire(NodeLists& lists, rct::NodeId child);
   void insert_buffers(NodeLists& lists, rct::NodeId v);
+  void prune_cross_count(std::vector<CandList>& buckets);
   NodeLists merge(const NodeLists& l, const NodeLists& r);
   void note_created(std::size_t n) { stats_.candidates_generated += n; }
   [[nodiscard]] double* timed(double util::VgStats::*field) {

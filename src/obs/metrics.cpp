@@ -87,6 +87,7 @@ void record_vg_stats(MetricsRegistry& reg, const util::VgStats& stats) {
   reg.counter("vg.candidates_generated").add(stats.candidates_generated);
   reg.counter("vg.pruned_inferior").add(stats.pruned_inferior);
   reg.counter("vg.pruned_infeasible").add(stats.pruned_infeasible);
+  reg.counter("vg.pruned_cross_count").add(stats.pruned_cross_count);
   reg.counter("vg.merged").add(stats.merged);
   reg.counter("vg.prune_calls").add(stats.prune_calls);
   reg.counter("vg.prune_sorts").add(stats.prune_sorts);
@@ -96,7 +97,6 @@ void record_vg_stats(MetricsRegistry& reg, const util::VgStats& stats) {
   reg.counter("vg.pool_reuses").add(stats.pool_reuses);
   reg.counter("vg.bp_prune_calls").add(stats.bp_prune_calls);
   reg.counter("vg.bp_candidates_killed").add(stats.bp_candidates_killed);
-  reg.counter("vg.soa_block_reuses").add(stats.soa_block_reuses);
   reg.counter("vg.soa_flush_elems").add(stats.soa_flush_elems);
   reg.counter("vg.soa_full_lane_elems").add(stats.soa_full_lane_elems);
   reg.counter("vg.soa_tail_elems").add(stats.soa_tail_elems);

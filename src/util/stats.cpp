@@ -12,9 +12,10 @@ std::string format(const VgStats& s) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 "generated %zu, pruned inferior %zu, pruned infeasible %zu, "
-                "merged %zu, peak list %zu",
+                "pruned cross-count %zu, merged %zu, peak list %zu",
                 s.candidates_generated, s.pruned_inferior,
-                s.pruned_infeasible, s.merged, s.peak_list_size);
+                s.pruned_infeasible, s.pruned_cross_count, s.merged,
+                s.peak_list_size);
   std::string out = buf;
   if (s.prune_calls > 0) {
     std::snprintf(buf, sizeof buf,
@@ -34,10 +35,9 @@ std::string format(const VgStats& s) {
   if (s.soa_full_lane_elems + s.soa_tail_elems > 0) {
     const std::size_t sweep_elems = s.soa_full_lane_elems + s.soa_tail_elems;
     std::snprintf(buf, sizeof buf,
-                  "; soa block reuses %zu, flush elems %zu, lane util "
-                  "%zu/%zu, no-move prunes %zu",
-                  s.soa_block_reuses, s.soa_flush_elems,
-                  s.soa_full_lane_elems, sweep_elems, s.soa_prunes_no_move);
+                  "; flush elems %zu, lane util %zu/%zu, no-move prunes %zu",
+                  s.soa_flush_elems, s.soa_full_lane_elems, sweep_elems,
+                  s.soa_prunes_no_move);
     out += buf;
   }
   const double timed = s.wire_seconds + s.buffer_seconds + s.merge_seconds;

@@ -21,6 +21,8 @@ struct VgStats {
   std::size_t candidates_generated = 0;  // every candidate materialized
   std::size_t pruned_inferior = 0;       // (load, slack)-dominated (Step 7)
   std::size_t pruned_infeasible = 0;     // dead: noise slack went negative
+  std::size_t pruned_cross_count = 0;    // five-field-dominated by a lower
+                                         // count bucket (buffer sites)
   std::size_t merged = 0;                // produced by two-child merges
   std::size_t peak_list_size = 0;        // largest single candidate list
   // Kernel-path counters (fast kernel, PR 2). The fast kernel keeps every
@@ -33,7 +35,7 @@ struct VgStats {
   std::size_t offset_flushes = 0;       // lazy wire offsets materialized
   std::size_t snapshot_cands_avoided = 0;  // candidates NOT deep-copied at
                                            // buffer insertion (read views)
-  std::size_t pool_reuses = 0;  // candidate-list buffers recycled
+  std::size_t pool_reuses = 0;  // candidate-list (SoA lane) blocks recycled
   // Best-predecessor counters (fast kernel, PR 6). With b buffer types the
   // naive insertion step re-evaluates noise/slew feasibility for every
   // candidate once per type; the fast kernel binary-searches each
@@ -52,7 +54,6 @@ struct VgStats {
   // lane-utilization split counts what a vector unit of kSimdLanes would
   // process in full vectors vs the scalar epilogue, whether or not the
   // sweep actually ran vectorized).
-  std::size_t soa_block_reuses = 0;     // SoA lane blocks recycled (pool)
   std::size_t soa_flush_elems = 0;      // candidates updated by wire
                                         // flushes (width = /offset_flushes)
   std::size_t soa_full_lane_elems = 0;  // sweep elements in full vectors
@@ -70,6 +71,7 @@ struct VgStats {
     candidates_generated += o.candidates_generated;
     pruned_inferior += o.pruned_inferior;
     pruned_infeasible += o.pruned_infeasible;
+    pruned_cross_count += o.pruned_cross_count;
     merged += o.merged;
     peak_list_size = peak_list_size < o.peak_list_size ? o.peak_list_size
                                                        : peak_list_size;
@@ -82,7 +84,6 @@ struct VgStats {
     bp_prune_calls += o.bp_prune_calls;
     bp_candidates_killed += o.bp_candidates_killed;
     lib_types = lib_types < o.lib_types ? o.lib_types : lib_types;
-    soa_block_reuses += o.soa_block_reuses;
     soa_flush_elems += o.soa_flush_elems;
     soa_full_lane_elems += o.soa_full_lane_elems;
     soa_tail_elems += o.soa_tail_elems;
@@ -100,7 +101,8 @@ struct VgStats {
   [[nodiscard]] bool same_counters(const VgStats& o) const {
     return candidates_generated == o.candidates_generated &&
            pruned_inferior == o.pruned_inferior &&
-           pruned_infeasible == o.pruned_infeasible && merged == o.merged &&
+           pruned_infeasible == o.pruned_infeasible &&
+           pruned_cross_count == o.pruned_cross_count && merged == o.merged &&
            peak_list_size == o.peak_list_size &&
            prune_calls == o.prune_calls && prune_sorts == o.prune_sorts &&
            prune_sorts_skipped == o.prune_sorts_skipped &&
@@ -110,7 +112,6 @@ struct VgStats {
            bp_prune_calls == o.bp_prune_calls &&
            bp_candidates_killed == o.bp_candidates_killed &&
            lib_types == o.lib_types &&
-           soa_block_reuses == o.soa_block_reuses &&
            soa_flush_elems == o.soa_flush_elems &&
            soa_full_lane_elems == o.soa_full_lane_elems &&
            soa_tail_elems == o.soa_tail_elems &&

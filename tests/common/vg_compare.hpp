@@ -70,6 +70,7 @@ inline void expect_identical(const core::VgResult& fast,
   EXPECT_EQ(fast.stats.candidates_generated, ref.stats.candidates_generated);
   EXPECT_EQ(fast.stats.pruned_inferior, ref.stats.pruned_inferior);
   EXPECT_EQ(fast.stats.pruned_infeasible, ref.stats.pruned_infeasible);
+  EXPECT_EQ(fast.stats.pruned_cross_count, ref.stats.pruned_cross_count);
   EXPECT_EQ(fast.stats.merged, ref.stats.merged);
   EXPECT_EQ(fast.stats.peak_list_size, ref.stats.peak_list_size);
 }

@@ -152,6 +152,63 @@ TEST(LibraryKernel, SingleTypeRandomLibraryMatchesAcrossKernels) {
   }
 }
 
+TEST(LibraryKernel, PerCountIsTheFrontierOfTheUnprunedDp) {
+  // per_count is the (count, slack) Pareto frontier: slack strictly rises
+  // with count, and — because pruning (within and across count buckets)
+  // only ever drops candidates something at most as costly beats — the
+  // frontier equals that of the unpruned DP in count, slack bits and plan.
+  // Small trees keep the unpruned lists tractable; random libraries bring
+  // inverting types, and odd nets add Lillis buffer costs. Delay-only: the
+  // paper's noise extension keeps (load, slack) pruning, which is
+  // noise-blind, so under noise constraints pruning is a heuristic there.
+  netgen::TestbenchOptions gen;
+  gen.net_count = 24;
+  gen.seed = 0xF40;
+  gen.max_span = 5000.0;
+  std::size_t pruned_total = 0;
+  std::size_t multi_row = 0;
+  for (const double frac : {0.0, 0.5}) {
+    const lib::BufferLibrary library =
+        test::random_library(0xF40 + (frac > 0.0 ? 1 : 0), 5, frac);
+    SCOPED_TRACE("inverting=" + std::to_string(library.inverting_count()));
+    const auto nets = netgen::generate_testbench(library, gen);
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+      SCOPED_TRACE(nets[i].name);
+      rct::RoutingTree segmented = nets[i].tree;
+      seg::segment(segmented, {500.0});
+      core::VgOptions opt;
+      opt.noise_constraints = false;
+      opt.max_buffers = 8;
+      if (i % 2 == 1) opt.buffer_costs = {1, 2, 1, 3, 2};
+      core::VgOptions unpruned_opt = opt;
+      unpruned_opt.prune_candidates = false;
+      const auto pruned = core::optimize(segmented, library, opt);
+      const auto unpruned = core::optimize(segmented, library, unpruned_opt);
+      pruned_total += pruned.stats.pruned_cross_count;
+      EXPECT_EQ(unpruned.stats.pruned_cross_count, 0u);
+      ASSERT_EQ(pruned.per_count.size(), unpruned.per_count.size());
+      if (pruned.per_count.size() > 1) ++multi_row;
+      for (std::size_t r = 0; r < pruned.per_count.size(); ++r) {
+        const core::CountBest& p = pruned.per_count[r];
+        const core::CountBest& u = unpruned.per_count[r];
+        if (r > 0) {
+          EXPECT_GT(p.count, pruned.per_count[r - 1].count);
+          EXPECT_GT(p.slack, pruned.per_count[r - 1].slack);
+        }
+        EXPECT_EQ(p.count, u.count);
+        EXPECT_EQ(p.slack, u.slack);  // exact: bit-identity
+        ASSERT_EQ(p.plan.size(), u.plan.size());
+        for (std::size_t j = 0; j < p.plan.size(); ++j) {
+          EXPECT_EQ(p.plan[j].node, u.plan[j].node);
+          EXPECT_EQ(p.plan[j].type, u.plan[j].type);
+        }
+      }
+    }
+  }
+  EXPECT_GT(pruned_total, 0u);  // the rule genuinely fired
+  EXPECT_GT(multi_row, 10u);    // and the frontiers have rows to compare
+}
+
 TEST(LibraryKernel, BatchScheduleIndependentOnRandomLibrary) {
   // The TSan-lane teeth: the same fuzzed 17-type half-inverting library
   // through the batch engine at 1 and at 4 threads. Results and the

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <dirent.h>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -257,6 +258,41 @@ TEST(ServeSession, PerturbMatchesFullColdRerunAcrossEditChain) {
   }
   // The local edits above must actually exercise the cache.
   EXPECT_TRUE(reused_any);
+}
+
+TEST(ServeSession, CountRowsAreTheCountSlackFrontier) {
+  // The "count <k> <slack> ..." rows of an OPTIMIZE/PERTURB reply render
+  // VgResult::per_count: the (count, slack) frontier, so both the count and
+  // the slack strictly rise row by row — also after incremental edits.
+  serve::Session s;
+  ASSERT_TRUE(is_ok(s.handle(req(Opcode::LoadNet, net_payload(35, "eta")))));
+  const std::vector<std::string> requests = {
+      "net eta\n",
+      "net eta\nscale_wire 2 1.6 1.3 0.8\n",
+      "net eta\nset_sink 0 22 1450 0.75\n",
+  };
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    const Frame f = s.handle(
+        req(r == 0 ? Opcode::Optimize : Opcode::Perturb, requests[r]));
+    ASSERT_TRUE(is_ok(f)) << f.payload;
+    std::istringstream in(f.payload);
+    std::size_t rows = 0;
+    long prev_count = -1;
+    double prev_slack = -std::numeric_limits<double>::infinity();
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("count ", 0) != 0) continue;
+      std::istringstream row(line.substr(6));
+      long count = 0;
+      double slack = 0.0;
+      ASSERT_TRUE(row >> count >> slack) << line;
+      EXPECT_GT(count, prev_count) << f.payload;
+      EXPECT_GT(slack, prev_slack) << f.payload;
+      prev_count = count;
+      prev_slack = slack;
+      ++rows;
+    }
+    EXPECT_GT(rows, 0u) << f.payload;
+  }
 }
 
 TEST(ServeSession, PerturbBeforeOptimizeUsesDefaultOptions) {

@@ -247,8 +247,9 @@ TEST(SoAKernel, DifferentialFuzzAgainstReferenceAcrossLibraries) {
   if (soa::kSimdLanes > 1) {
     EXPECT_GT(fast_total.soa_tail_elems, 0u);
   }
-  EXPECT_GT(fast_total.soa_block_reuses, 0u);
+  EXPECT_GT(fast_total.pool_reuses, 0u);
   EXPECT_GT(fast_total.soa_prunes_no_move, 0u);
+  EXPECT_GT(fast_total.pruned_cross_count, 0u);
 }
 
 TEST(SoAKernel, ScalarVsSimdByteIdenticalSerializedResults) {
@@ -469,6 +470,37 @@ TEST(SoAKernel, CorruptedSoAViewIsCaughtByStructuralChecks) {
       core::detail::verify_cand_list(dead.span(), delayopt, arena));
 }
 
+TEST(SoAKernel, CrossCountDominatedSurvivorIsCaughtByNodeCheck) {
+  // detail::verify_cross_count — the node-level check the fast kernel runs
+  // after each buffer site's cross-count sweep (contract level 2 or
+  // check_invariants) — must flag a bucket-2 candidate that a bucket-0
+  // candidate beats on all five fields, and nothing else.
+  const auto node = [](double load, double slack, double current, double ns,
+                       double dhat, bool swap) {
+    std::vector<core::SoAList> buckets(3);
+    buckets[swap ? 2 : 0].push_back(1.0, 2.0, 0.1, 0.5, 1.0,
+                                    core::kNullPlan);
+    buckets[swap ? 0 : 2].push_back(load, slack, current, ns, dhat,
+                                    core::kNullPlan);
+    return buckets;
+  };
+  using core::detail::verify_cross_count;
+  // Worse on all five fields, and an exact five-field tie (the rule's
+  // compares are non-strict): both must have been pruned.
+  EXPECT_THROW(verify_cross_count(node(2.0, 1.0, 0.2, 0.4, 2.0, false)),
+               std::logic_error);
+  EXPECT_THROW(verify_cross_count(node(1.0, 2.0, 0.1, 0.5, 1.0, false)),
+               std::logic_error);
+  // Better on any single field is a legal survivor.
+  EXPECT_NO_THROW(verify_cross_count(node(0.5, 1.0, 0.2, 0.4, 2.0, false)));
+  EXPECT_NO_THROW(verify_cross_count(node(2.0, 3.0, 0.2, 0.4, 2.0, false)));
+  EXPECT_NO_THROW(verify_cross_count(node(2.0, 1.0, 0.0, 0.4, 2.0, false)));
+  EXPECT_NO_THROW(verify_cross_count(node(2.0, 1.0, 0.2, 0.6, 2.0, false)));
+  EXPECT_NO_THROW(verify_cross_count(node(2.0, 1.0, 0.2, 0.4, 0.5, false)));
+  // Only a lower count dominates: the same pair with the buckets swapped.
+  EXPECT_NO_THROW(verify_cross_count(node(2.0, 1.0, 0.2, 0.4, 2.0, true)));
+}
+
 TEST(SoAKernel, LaneUtilizationCountersArePureFunctionsOfTheInput) {
   // One deep chain: lots of lazy-offset flushes. The lane-utilization
   // split must account for every flushed element and reproduce exactly in
@@ -489,7 +521,7 @@ TEST(SoAKernel, LaneUtilizationCountersArePureFunctionsOfTheInput) {
   EXPECT_EQ(vec.stats.soa_full_lane_elems, sca.stats.soa_full_lane_elems);
   EXPECT_EQ(vec.stats.soa_tail_elems, sca.stats.soa_tail_elems);
   EXPECT_EQ(vec.stats.soa_prunes_no_move, sca.stats.soa_prunes_no_move);
-  EXPECT_EQ(vec.stats.soa_block_reuses, sca.stats.soa_block_reuses);
+  EXPECT_EQ(vec.stats.pool_reuses, sca.stats.pool_reuses);
 
   // The reference kernel has no SoA machinery; its counters stay zero.
   const auto ref =
@@ -497,7 +529,7 @@ TEST(SoAKernel, LaneUtilizationCountersArePureFunctionsOfTheInput) {
   EXPECT_EQ(ref.stats.soa_flush_elems, 0u);
   EXPECT_EQ(ref.stats.soa_full_lane_elems, 0u);
   EXPECT_EQ(ref.stats.soa_tail_elems, 0u);
-  EXPECT_EQ(ref.stats.soa_block_reuses, 0u);
+  EXPECT_EQ(ref.stats.pool_reuses, 0u);
 }
 
 }  // namespace
