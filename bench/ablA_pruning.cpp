@@ -48,9 +48,9 @@ int main() {
           std::chrono::duration<double, std::milli>(t1 - t0).count();
       t.add_row({util::Table::num(len, 0), prune ? "on" : "off",
                  util::Table::integer(
-                     static_cast<long long>(res.candidates_created)),
+                     static_cast<long long>(res.stats.candidates_generated)),
                  util::Table::integer(
-                     static_cast<long long>(res.max_list_size)),
+                     static_cast<long long>(res.stats.peak_list_size)),
                  util::Table::num(ms, 2),
                  util::Table::num(res.slack / ps, 2)});
       (prune ? slack_on : slack_off) = res.slack;

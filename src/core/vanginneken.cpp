@@ -387,9 +387,6 @@ VgResult finalize(const NodeLists& at_source, const rct::RoutingTree& tree,
   }
 
   result.stats = stats;
-  result.candidates_created = stats.candidates_generated;
-  result.max_list_size = stats.peak_list_size;
-  result.candidates_noise_pruned = stats.pruned_infeasible;
 
   if (result.per_count.empty()) {
     // No candidate satisfies the noise constraints at any count (possible

@@ -57,22 +57,7 @@ enum class VgKernel {
   Reference,
 };
 
-// Runtime dispatch of the fast kernel's vectorized SoA sweeps
-// (core/soa_sweeps.hpp). Auto runs the `#pragma omp simd` sweep bodies when
-// the build compiled them (CMake NBUF_SIMD=auto with a compiler supporting
-// -fopenmp-simd); Off forces the scalar fallback. Results are bit-identical
-// either way — every pragma'd loop is strictly elementwise and the kernel
-// TUs pin -ffp-contract=off — pinned by tests/test_soa_kernel's
-// scalar-vs-SIMD self-differential, so this is a measurement/ablation knob
-// (bench/figM_soa_ablation), not a semantics switch.
-enum class SimdMode {
-  Auto,
-  Off,
-};
-
-// Whether this build compiled the vector sweep bodies (NBUF_SIMD resolved
-// to enabled). When false, SimdMode::Auto and SimdMode::Off run the same
-// scalar code — benches report it so an ablation row of 1.0x is readable.
+// Always false. Kept only for perfbench's fact line; next benchmark change.
 [[nodiscard]] bool simd_compiled() noexcept;
 
 struct VgOptions {
@@ -107,10 +92,6 @@ struct VgOptions {
   bool collect_stats = false;
   // DP inner-loop implementation; results are identical either way.
   VgKernel kernel = VgKernel::Fast;
-  // Vector-vs-scalar dispatch of the fast kernel's SoA sweeps; results are
-  // identical either way (see the SimdMode comment). Ignored by the
-  // reference kernel.
-  SimdMode simd = SimdMode::Auto;
   // Both kernels re-verify the sort/Pareto/no-dead-candidate invariants of
   // every candidate list after each DP step (detail::verify_cand_list) and
   // throw on violation. O(k) per step. Runs when this is set OR when the
@@ -146,12 +127,6 @@ struct VgResult {
   // only when its best slack is strictly greater than that of every count
   // below it, so slack strictly increases along the table.
   std::vector<CountBest> per_count;
-  // Ablation counters (legacy aliases of the fields in `stats`, kept for
-  // the existing benches: created = stats.candidates_generated, max list =
-  // stats.peak_list_size, noise pruned = stats.pruned_infeasible).
-  std::size_t candidates_created = 0;
-  std::size_t max_list_size = 0;
-  std::size_t candidates_noise_pruned = 0;
   // Full DP-efficiency counter block (Li & Shi lens); wall times are filled
   // only when VgOptions::collect_stats is set.
   util::VgStats stats;

@@ -34,14 +34,10 @@
 //     (core/soa.hpp): one contiguous aligned lane per DP field plus a
 //     32-bit plan-ref lane. The hot loops — the fused dead+Pareto prune,
 //     the wire-offset flush, and the bucket-major merge — stream one lane
-//     at a time as the branch-light sweeps of core/soa_sweeps.hpp,
-//     vectorized under `#pragma omp simd` when the build compiled them
-//     (NBUF_SIMD=auto) and the run asked for them (VgOptions::simd).
-//     Every pragma'd loop is strictly elementwise, so vector and scalar
-//     execution are bit-identical. Order-dependent work — Pareto keep
-//     decisions, tail sorts, cascaded run merges — runs over 32-bit index
-//     permutations with ONE gather per lane at the end instead of
-//     repeatedly moving 48-byte structs.
+//     at a time as the plain loops of core/soa_sweeps.hpp. Order-dependent
+//     work — Pareto keep decisions, tail sorts, cascaded run merges — runs
+//     over 32-bit index permutations with ONE gather per lane at the end
+//     instead of repeatedly moving 48-byte structs.
 //
 // Candidate blocks are recycled whole through a per-run core::SoAPool next
 // to the PlanArena, so steady-state DP makes no allocator calls.
@@ -49,7 +45,7 @@
 // Bit-identity with the reference kernel (same pruning decisions, same
 // tie-break order, same legacy VgStats counters) is pinned by
 // tests/test_vg_kernel.cpp and tests/test_soa_kernel.cpp; the speedup is
-// measured by bench/figI_kernel_speedup and bench/figM_soa_ablation.
+// measured by bench/figI_kernel_speedup.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
@@ -88,7 +84,6 @@ class FastVgRun {
         lib_(lib),
         opt_(opt),
         sizing_(!opt.wire_widths.empty()),
-        simd_(opt.simd == SimdMode::Auto),
         type_order_(TypeOrder::make(lib)) {
     for (auto& sizes : view_sizes_) sizes.resize(opt_.max_buffers + 1, 0);
     min_cost_ = 1;
@@ -131,15 +126,6 @@ class FastVgRun {
     return true;
   }
   void note_created(std::size_t n) { stats_.candidates_generated += n; }
-  // Lane-utilization bookkeeping for one simd-eligible sweep of length n:
-  // how much of it fills whole vectors vs. the scalar epilogue. A pure
-  // function of the sweep lengths, so it reproduces at any thread count
-  // and in both simd modes.
-  void note_sweep(std::size_t n) {
-    const std::size_t tail = n % soa::kSimdLanes;
-    stats_.soa_full_lane_elems += n - tail;
-    stats_.soa_tail_elems += tail;
-  }
   [[nodiscard]] double* timed(double util::VgStats::*field) {
     return opt_.collect_stats ? &(stats_.*field) : nullptr;
   }
@@ -148,11 +134,10 @@ class FastVgRun {
   const lib::BufferLibrary& lib_;
   const VgOptions& opt_;
   const bool sizing_;
-  const bool simd_;
   PlanArena arena_;
   SoAPool pool_;
   SoAList scratch_;                       // gather target, swapped back
-  std::vector<unsigned char> keep_;       // prune keep flags
+  std::vector<unsigned char> keep_;       // cross-count keep flags
   std::vector<std::uint32_t> perm_;       // index-permutation scratch
   std::vector<std::uint32_t> ia_, jb_;    // merge pair indices
   std::vector<std::size_t> run_bounds_;   // sorted-run starts in merge()
@@ -182,9 +167,8 @@ void FastVgRun::prune(SoAList& list, bool known_sorted) {
     sort_list(list);
     ++stats_.prune_sorts;
   }
-  if (opt_.noise_constraints) note_sweep(list.size());
   const soa::PruneResult pr = soa::prune_sweep(
-      list, opt_.noise_constraints, opt_.prune_candidates, simd_, keep_);
+      list, opt_.noise_constraints, opt_.prune_candidates);
   stats_.pruned_infeasible += pr.dead;
   stats_.pruned_inferior += pr.inferior;
   if (!pr.moved) ++stats_.soa_prunes_no_move;
@@ -205,8 +189,7 @@ void FastVgRun::sort_list(SoAList& list) {
             [&](std::uint32_t x, std::uint32_t y) {
               return soa_cand_less(s, x, y, arena_);
             });
-  note_sweep(n);
-  soa::gather(list, perm_.data(), n, scratch_, simd_);
+  soa::gather(list, perm_.data(), n, scratch_);
   list.swap(scratch_);
 }
 
@@ -268,9 +251,7 @@ void FastVgRun::merge_runs(SoAList& list) {
 void FastVgRun::apply_wire_and_prune(SoAList& list, const rct::Wire& w) {
   ++stats_.offset_flushes;
   stats_.soa_flush_elems += list.size();
-  note_sweep(list.size());
-  soa::apply_wire(list, w.resistance, w.capacitance, w.coupling_current,
-                  simd_);
+  soa::apply_wire(list, w.resistance, w.capacitance, w.coupling_current);
   prune(list, list_is_sorted(list));
 }
 
@@ -612,8 +593,7 @@ FastVgRun::Lists FastVgRun::merge(Lists l, Lists r) {
         const CandSpan sb = b.span();
         const std::size_t m = soa::emit_pairs(sa, sb, ia_, jb_);
         const std::size_t base = dst.size();
-        note_sweep(m);
-        soa::merge_fill(sa, sb, ia_.data(), jb_.data(), m, dst, simd_);
+        soa::merge_fill(sa, sb, ia_.data(), jb_.data(), m, dst);
         PlanRef* dp = dst.plan() + base;
         for (std::size_t o = 0; o < m; ++o)
           dp[o] = arena_.merge_ref(sa.plan[ia_[o]], sb.plan[jb_[o]]);
@@ -844,8 +824,7 @@ VgResult run_fast_kernel(const rct::RoutingTree& tree,
 
 namespace nbuf::core {
 
-// Defined in this TU because it is the one compiled with
-// -DNBUF_SIMD_ENABLED when NBUF_SIMD resolves to enabled.
-bool simd_compiled() noexcept { return detail::soa::kSimdCompiled; }
+// Kept only for perfbench's simd_compiled fact line; next benchmark change.
+bool simd_compiled() noexcept { return false; }
 
 }  // namespace nbuf::core

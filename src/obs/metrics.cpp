@@ -98,8 +98,6 @@ void record_vg_stats(MetricsRegistry& reg, const util::VgStats& stats) {
   reg.counter("vg.bp_prune_calls").add(stats.bp_prune_calls);
   reg.counter("vg.bp_candidates_killed").add(stats.bp_candidates_killed);
   reg.counter("vg.soa_flush_elems").add(stats.soa_flush_elems);
-  reg.counter("vg.soa_full_lane_elems").add(stats.soa_full_lane_elems);
-  reg.counter("vg.soa_tail_elems").add(stats.soa_tail_elems);
   reg.counter("vg.soa_prunes_no_move").add(stats.soa_prunes_no_move);
   reg.gauge("lib.types").set(static_cast<double>(stats.lib_types));
   reg.histogram("vg.peak_list_size").observe(stats.peak_list_size);

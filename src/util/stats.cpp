@@ -32,12 +32,9 @@ std::string format(const VgStats& s) {
                   s.lib_types, s.bp_prune_calls, s.bp_candidates_killed);
     out += buf;
   }
-  if (s.soa_full_lane_elems + s.soa_tail_elems > 0) {
-    const std::size_t sweep_elems = s.soa_full_lane_elems + s.soa_tail_elems;
-    std::snprintf(buf, sizeof buf,
-                  "; flush elems %zu, lane util %zu/%zu, no-move prunes %zu",
-                  s.soa_flush_elems, s.soa_full_lane_elems, sweep_elems,
-                  s.soa_prunes_no_move);
+  if (s.soa_flush_elems + s.soa_prunes_no_move > 0) {
+    std::snprintf(buf, sizeof buf, "; flush elems %zu, no-move prunes %zu",
+                  s.soa_flush_elems, s.soa_prunes_no_move);
     out += buf;
   }
   const double timed = s.wire_seconds + s.buffer_seconds + s.merge_seconds;

@@ -48,16 +48,11 @@ struct VgStats {
   std::size_t lib_types = 0;             // buffer-library size seen (max)
   // SoA-layout counters (fast kernel, PR 10). Candidate lists live in
   // structure-of-arrays lane blocks (core/soa.hpp) whose hot loops run as
-  // vectorizable sweeps (core/soa_sweeps.hpp); these describe how that
-  // layout behaved. All are pure functions of the input net and the
-  // options — identical at any thread count and in both simd modes (the
-  // lane-utilization split counts what a vector unit of kSimdLanes would
-  // process in full vectors vs the scalar epilogue, whether or not the
-  // sweep actually ran vectorized).
+  // lane sweeps (core/soa_sweeps.hpp); these describe how that layout
+  // behaved. Both are pure functions of the input net and the options —
+  // identical at any thread count.
   std::size_t soa_flush_elems = 0;      // candidates updated by wire
                                         // flushes (width = /offset_flushes)
-  std::size_t soa_full_lane_elems = 0;  // sweep elements in full vectors
-  std::size_t soa_tail_elems = 0;       // sweep elements in scalar tails
   std::size_t soa_prunes_no_move = 0;   // prunes that killed nothing and
                                         // skipped compaction entirely
 
@@ -85,8 +80,6 @@ struct VgStats {
     bp_candidates_killed += o.bp_candidates_killed;
     lib_types = lib_types < o.lib_types ? o.lib_types : lib_types;
     soa_flush_elems += o.soa_flush_elems;
-    soa_full_lane_elems += o.soa_full_lane_elems;
-    soa_tail_elems += o.soa_tail_elems;
     soa_prunes_no_move += o.soa_prunes_no_move;
     wire_seconds += o.wire_seconds;
     buffer_seconds += o.buffer_seconds;
@@ -113,8 +106,6 @@ struct VgStats {
            bp_candidates_killed == o.bp_candidates_killed &&
            lib_types == o.lib_types &&
            soa_flush_elems == o.soa_flush_elems &&
-           soa_full_lane_elems == o.soa_full_lane_elems &&
-           soa_tail_elems == o.soa_tail_elems &&
            soa_prunes_no_move == o.soa_prunes_no_move;
   }
 };

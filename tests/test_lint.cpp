@@ -294,12 +294,15 @@ TEST(LintRules, UncheckedSimdCleanCommentsStringsAndSuppression) {
   expect_findings(
       lint_fixture("unchecked_simd_clean.cpp", "src/obs/fixture.cpp"), {});
 }
-TEST(LintRules, UncheckedSimdExemptsTheSweepHome) {
-  // src/core/soa_sweeps.hpp is where the audited sweeps live; the same
-  // pragmas are fine there (and outside src/ entirely).
+TEST(LintRules, UncheckedSimdHasNoHomeUnderSrc) {
+  // No file under src/ is exempt, not even the kernel's sweep header; the
+  // pragmas are fine outside src/ entirely.
   expect_findings(
       lint_fixture("unchecked_simd_bad.cpp", "src/core/soa_sweeps.hpp"),
-      {{1, "pragma-once"}});  // .cpp fixture at a .hpp path; header rule only
+      {{1, "pragma-once"},  // .cpp fixture at a .hpp path
+       {3, "unchecked-simd"},
+       {7, "unchecked-simd"},
+       {11, "unchecked-simd"}});
   expect_findings(
       lint_fixture("unchecked_simd_bad.cpp", "bench/fixture.cpp"), {});
 }

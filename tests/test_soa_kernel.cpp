@@ -1,9 +1,8 @@
-// SoA/SIMD lockdown suite (PR 10).
+// SoA lockdown suite.
 //
 // The fast kernel's candidate storage is structure-of-arrays
 // (core/soa.hpp) and its hot loops are the lane sweeps of
-// core/soa_sweeps.hpp, compiled with `#pragma omp simd` when the build
-// enables it. Three contracts pin that refactor down:
+// core/soa_sweeps.hpp. Two contracts pin that layout down:
 //
 //  * Differential: the SoA fast kernel must stay bit-identical to the
 //    reference (seed) kernel — same slack bits, placements, per_count
@@ -12,28 +11,21 @@
 //    full six-variant option cycle. Every fast run keeps check_invariants
 //    on, so the sweep doubles as the property corpus for the (load asc,
 //    slack desc) staircase invariant over every SoA block.
-//  * Self-differential: the same workload with VgOptions::simd = Off and
-//    = Auto in ONE binary must produce byte-identical serialized results
-//    (slack bits, plans, wire widths) and equal deterministic counters —
-//    including the vg.soa_* family, which is a pure function of the input.
-//    In a build configured with NBUF_SIMD=off both runs take the scalar
-//    path and the test degenerates to determinism, which is still a valid
-//    (weaker) reading of the contract.
-//  * Tail loops: a fixed corpus (tests/data/soa/, lengths 0, 1 and
-//    lane-1 / lane / lane+1 for every lane width up to AVX-512) driven
-//    straight through each sweep of core/soa_sweeps.hpp in scalar and in
-//    vector mode, compared lane-by-lane with memcmp. A masked epilogue or
-//    alignment bug shows up here as a one-element bit difference.
+//  * Tail loops: a fixed corpus (tests/data/soa/, lengths 0-5 and 7-9)
+//    driven straight through each sweep of core/soa_sweeps.hpp and
+//    compared lane-by-lane (bitwise) with an in-test naive version of the
+//    same operation, so an off-by-one at a list end or an empty list shows
+//    up as a one-element bit difference.
 //
 // Everything is seeded; there is no run-to-run variation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -61,10 +53,8 @@ using test::expect_identical;
 
 core::VgResult run_kernel(const rct::RoutingTree& segmented,
                           const lib::BufferLibrary& library,
-                          core::VgOptions opt, core::VgKernel kernel,
-                          core::SimdMode simd = core::SimdMode::Auto) {
+                          core::VgOptions opt, core::VgKernel kernel) {
   opt.kernel = kernel;
-  opt.simd = simd;
   return core::optimize(segmented, library, opt);
 }
 
@@ -121,58 +111,6 @@ std::vector<netgen::GeneratedNet> fuzz_nets() {
 }
 
 // ---------------------------------------------------------------------------
-// Byte serialization of a VgResult: every deterministic field, doubles by
-// bit pattern (memcpy, not operator==, so a -0.0 vs +0.0 or NaN-payload
-// difference cannot hide). The scalar-vs-SIMD contract is equality of
-// these strings.
-
-void put_u64(std::string& s, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) s.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void put_bits(std::string& s, double d) {
-  std::uint64_t b = 0;
-  std::memcpy(&b, &d, sizeof b);
-  put_u64(s, b);
-}
-
-std::string serialize(const core::VgResult& r) {
-  std::string s;
-  s.push_back(r.feasible ? 1 : 0);
-  s.push_back(r.timing_met ? 1 : 0);
-  put_bits(s, r.slack);
-  put_u64(s, r.buffer_count);
-  for (const auto& [node, type] : test::sorted_entries(r.buffers)) {
-    put_u64(s, node);
-    put_u64(s, type);
-  }
-  put_u64(s, r.wire_widths.size());
-  for (const auto& w : r.wire_widths) {
-    put_u64(s, w.node.value());
-    put_u64(s, w.width);
-  }
-  put_u64(s, r.per_count.size());
-  for (const auto& cb : r.per_count) {
-    put_u64(s, cb.count);
-    put_bits(s, cb.slack);
-    put_bits(s, cb.noise_slack);
-    s.push_back(cb.noise_ok ? 1 : 0);
-    put_u64(s, cb.plan.size());
-    for (const auto& p : cb.plan) {
-      put_u64(s, p.node.value());
-      put_bits(s, p.dist_above);
-      put_u64(s, p.type.value());
-    }
-    put_u64(s, cb.wires.size());
-    for (const auto& w : cb.wires) {
-      put_u64(s, w.node.value());
-      put_u64(s, w.width);
-    }
-  }
-  return s;
-}
-
-// ---------------------------------------------------------------------------
 // Corpus plumbing for the tail-loop sweeps.
 
 core::SoAList load_corpus(std::size_t len) {
@@ -202,9 +140,11 @@ core::SoAList copy_list(const core::SoAList& src) {
 }
 
 // Lane-by-lane bitwise equality over the first n elements of both lists.
+// An empty list's lanes are null, which memcmp must never see.
 void expect_lanes_identical(const core::SoAList& a, const core::SoAList& b) {
   ASSERT_EQ(a.size(), b.size());
   const std::size_t n = a.size();
+  if (n == 0) return;
   EXPECT_EQ(std::memcmp(a.load(), b.load(), n * sizeof(double)), 0);
   EXPECT_EQ(std::memcmp(a.slack(), b.slack(), n * sizeof(double)), 0);
   EXPECT_EQ(std::memcmp(a.current(), b.current(), n * sizeof(double)), 0);
@@ -240,84 +180,45 @@ TEST(SoAKernel, DifferentialFuzzAgainstReferenceAcrossLibraries) {
   }
 
   // The sweep must genuinely have exercised the SoA machinery: lazy wire
-  // flushes over lanes, whole-vector sweep bodies, recycled lane blocks,
-  // and converged lists where the fused prune moved nothing.
+  // flushes over lanes, recycled lane blocks, and converged lists where
+  // the fused prune moved nothing.
   EXPECT_GT(fast_total.soa_flush_elems, 0u);
-  EXPECT_GT(fast_total.soa_full_lane_elems, 0u);
-  if (soa::kSimdLanes > 1) {
-    EXPECT_GT(fast_total.soa_tail_elems, 0u);
-  }
   EXPECT_GT(fast_total.pool_reuses, 0u);
   EXPECT_GT(fast_total.soa_prunes_no_move, 0u);
   EXPECT_GT(fast_total.pruned_cross_count, 0u);
 }
 
-TEST(SoAKernel, ScalarVsSimdByteIdenticalSerializedResults) {
-  const auto nets = fuzz_nets();
-  ASSERT_EQ(nets.size(), 204u);
-
-  for (std::size_t combo = 0; combo < std::size(kCombos); ++combo) {
-    const lib::BufferLibrary library = combo_library(combo);
-    SCOPED_TRACE("library b=" + std::to_string(kCombos[combo].size) +
-                 " inverting=" + std::to_string(library.inverting_count()));
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-      SCOPED_TRACE(nets[i].name + " variant " + std::to_string(i % 6));
-      rct::RoutingTree segmented = nets[i].tree;
-      seg::segment(segmented, {500.0});
-      const core::VgOptions opt = variant(i, kCombos[combo].size);
-      const auto vec = run_kernel(segmented, library, opt,
-                                  core::VgKernel::Fast, core::SimdMode::Auto);
-      const auto sca = run_kernel(segmented, library, opt,
-                                  core::VgKernel::Fast, core::SimdMode::Off);
-      // Byte-identical serialized results, and ALL deterministic counters
-      // equal — same_counters includes the soa_* family, which must be a
-      // pure function of the input regardless of the sweep mode.
-      EXPECT_EQ(serialize(vec), serialize(sca));
-      EXPECT_TRUE(vec.stats.same_counters(sca.stats));
-    }
-  }
-}
-
-TEST(SoAKernel, TailLoopCorpusSweepsBitIdenticalAcrossModes) {
-  // The corpus must cover the epilogue-critical lengths for THIS build's
-  // vector width (and every narrower width, for builds compiled elsewhere).
-  const std::set<std::size_t> lengths = {0, 1, 2, 3, 4, 5, 7, 8, 9};
-  ASSERT_TRUE(lengths.count(soa::kSimdLanes - 1) == 1 ||
-              soa::kSimdLanes == 1);
-  ASSERT_EQ(lengths.count(soa::kSimdLanes), 1u);
-  ASSERT_EQ(lengths.count(soa::kSimdLanes + 1), 1u);
-
-  std::vector<unsigned char> keep;
+TEST(SoAKernel, TailLoopCorpusSweepsMatchNaiveSemantics) {
+  const std::size_t lengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9};
   for (const std::size_t len : lengths) {
     SCOPED_TRACE("corpus len=" + std::to_string(len));
     const core::SoAList base = load_corpus(len);
+    const std::size_t n = base.size();
 
-    {  // apply_wire: the flagship elementwise sweep.
-      core::SoAList sca = copy_list(base);
-      core::SoAList vec = copy_list(base);
-      soa::apply_wire(sca, 0.03, 17.5, 0.004, /*simd=*/false);
-      soa::apply_wire(vec, 0.03, 17.5, 0.004, /*simd=*/true);
-      expect_lanes_identical(sca, vec);
+    {  // apply_wire: the reference kernel's per-candidate expressions.
+      const double res = 0.03, cap = 17.5, coupling = 0.004;
+      core::SoAList swept = copy_list(base);
+      soa::apply_wire(swept, res, cap, coupling);
+      core::SoAList naive;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double wire_delay = res * (cap / 2.0 + base.load()[i]);
+        naive.push_back(base.load()[i] + cap, base.slack()[i] - wire_delay,
+                        base.current()[i] + coupling,
+                        base.noise_slack()[i] -
+                            res * (coupling / 2.0 + base.current()[i]),
+                        base.dhat()[i] + wire_delay, base.plan()[i]);
+      }
+      expect_lanes_identical(swept, naive);
     }
 
-    {  // prune_sweep: vector alive-mask + fused sequential compaction.
-      core::SoAList sca = copy_list(base);
-      core::SoAList vec = copy_list(base);
-      const auto rs = soa::prune_sweep(sca, /*noise=*/true, /*pareto=*/true,
-                                       /*simd=*/false, keep);
-      const auto rv = soa::prune_sweep(vec, /*noise=*/true, /*pareto=*/true,
-                                       /*simd=*/true, keep);
-      EXPECT_EQ(rs.dead, rv.dead);
-      EXPECT_EQ(rs.inferior, rv.inferior);
-      EXPECT_EQ(rs.moved, rv.moved);
-      expect_lanes_identical(sca, vec);
-
-      // Semantics, against an in-test naive filter over the original list:
-      // drop NS < 0, then drop slacks not beating the running best.
+    {  // prune_sweep against an in-test naive filter over the original
+       // list: drop NS < 0, then drop slacks not beating the running best.
+      core::SoAList swept = copy_list(base);
+      const auto r = soa::prune_sweep(swept, /*noise=*/true, /*pareto=*/true);
       core::SoAList naive;
       double best = -std::numeric_limits<double>::infinity();
       std::size_t dead = 0, inferior = 0;
-      for (std::size_t i = 0; i < base.size(); ++i) {
+      for (std::size_t i = 0; i < n; ++i) {
         if (base.noise_slack()[i] < 0.0) {
           ++dead;
           continue;
@@ -331,45 +232,45 @@ TEST(SoAKernel, TailLoopCorpusSweepsBitIdenticalAcrossModes) {
                         base.noise_slack()[i], base.dhat()[i],
                         base.plan()[i]);
       }
-      EXPECT_EQ(rs.dead, dead);
-      EXPECT_EQ(rs.inferior, inferior);
-      expect_lanes_identical(sca, naive);
+      EXPECT_EQ(r.dead, dead);
+      EXPECT_EQ(r.inferior, inferior);
+      EXPECT_EQ(r.moved, naive.size() != n);
+      expect_lanes_identical(swept, naive);
     }
 
-    {  // emit_pairs + merge_fill: the deterministic pairing must not depend
-       // on the sweep mode of the lane arithmetic that fills it.
+    {  // emit_pairs + merge_fill: a self-merge emits at least the list
+       // itself, and every filled row is the sum/min/min/max of its pair.
       const core::CandSpan span = base.span();
       std::vector<std::uint32_t> ia, jb;
       const std::size_t m = soa::emit_pairs(span, span, ia, jb);
-      core::SoAList sca, vec;
-      soa::merge_fill(span, span, ia.data(), jb.data(), m, sca,
-                      /*simd=*/false);
-      soa::merge_fill(span, span, ia.data(), jb.data(), m, vec,
-                      /*simd=*/true);
-      ASSERT_EQ(sca.size(), m);
-      // merge_fill leaves the plan lane to the caller; null it for the
-      // bitwise compare.
-      for (std::size_t o = 0; o < m; ++o)
-        sca.plan()[o] = vec.plan()[o] = core::kNullPlan;
-      expect_lanes_identical(sca, vec);
-      if (len > 0) {
-        EXPECT_GE(m, len);  // a self-merge emits at least the list itself
+      core::SoAList merged;
+      soa::merge_fill(span, span, ia.data(), jb.data(), m, merged);
+      ASSERT_EQ(merged.size(), m);
+      EXPECT_GE(m, n);
+      for (std::size_t o = 0; o < m; ++o) {
+        const std::uint32_t i = ia[o], j = jb[o];
+        EXPECT_EQ(merged.load()[o], span.load[i] + span.load[j]);
+        EXPECT_EQ(merged.slack()[o], std::min(span.slack[i], span.slack[j]));
+        EXPECT_EQ(merged.current()[o], span.current[i] + span.current[j]);
+        EXPECT_EQ(merged.noise_slack()[o],
+                  std::min(span.noise_slack[i], span.noise_slack[j]));
+        EXPECT_EQ(merged.dhat()[o], std::max(span.dhat[i], span.dhat[j]));
       }
     }
 
     {  // gather: one permutation (reversal) through all six lanes.
-      std::vector<std::uint32_t> perm(base.size());
-      for (std::size_t i = 0; i < perm.size(); ++i)
-        perm[i] = static_cast<std::uint32_t>(perm.size() - 1 - i);
-      core::SoAList sca, vec;
-      soa::gather(base, perm.data(), perm.size(), sca, /*simd=*/false);
-      soa::gather(base, perm.data(), perm.size(), vec, /*simd=*/true);
-      expect_lanes_identical(sca, vec);
-      for (std::size_t i = 0; i < base.size(); ++i) {
-        const std::size_t j = base.size() - 1 - i;
-        EXPECT_EQ(sca.load()[i], base.load()[j]);
-        EXPECT_EQ(sca.slack()[i], base.slack()[j]);
+      std::vector<std::uint32_t> perm(n);
+      core::SoAList naive;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t j = n - 1 - i;
+        perm[i] = static_cast<std::uint32_t>(j);
+        naive.push_back(base.load()[j], base.slack()[j], base.current()[j],
+                        base.noise_slack()[j], base.dhat()[j],
+                        base.plan()[j]);
       }
+      core::SoAList gathered;
+      soa::gather(base, perm.data(), n, gathered);
+      expect_lanes_identical(gathered, naive);
     }
   }
 }
@@ -501,34 +402,24 @@ TEST(SoAKernel, CrossCountDominatedSurvivorIsCaughtByNodeCheck) {
   EXPECT_NO_THROW(verify_cross_count(node(2.0, 1.0, 0.2, 0.4, 2.0, true)));
 }
 
-TEST(SoAKernel, LaneUtilizationCountersArePureFunctionsOfTheInput) {
-  // One deep chain: lots of lazy-offset flushes. The lane-utilization
-  // split must account for every flushed element and reproduce exactly in
-  // both sweep modes (it is bookkept from sweep LENGTHS, never from which
-  // code path executed).
+TEST(SoAKernel, SoACountersAreDeterministicAndFastKernelOnly) {
+  // One deep chain: lots of lazy-offset flushes. The SoA counters are a
+  // pure function of the input, so a second run reproduces them exactly.
   const lib::BufferLibrary library = lib::default_library();
   rct::RoutingTree segmented = test::long_two_pin(12000.0);
   seg::segment(segmented, {500.0});
   core::VgOptions opt;
 
-  const auto vec = run_kernel(segmented, library, opt, core::VgKernel::Fast,
-                              core::SimdMode::Auto);
-  const auto sca = run_kernel(segmented, library, opt, core::VgKernel::Fast,
-                              core::SimdMode::Off);
-  EXPECT_GT(vec.stats.soa_flush_elems, 0u);
-  EXPECT_GT(vec.stats.soa_full_lane_elems + vec.stats.soa_tail_elems, 0u);
-  EXPECT_EQ(vec.stats.soa_flush_elems, sca.stats.soa_flush_elems);
-  EXPECT_EQ(vec.stats.soa_full_lane_elems, sca.stats.soa_full_lane_elems);
-  EXPECT_EQ(vec.stats.soa_tail_elems, sca.stats.soa_tail_elems);
-  EXPECT_EQ(vec.stats.soa_prunes_no_move, sca.stats.soa_prunes_no_move);
-  EXPECT_EQ(vec.stats.pool_reuses, sca.stats.pool_reuses);
+  const auto first = run_kernel(segmented, library, opt, core::VgKernel::Fast);
+  const auto again = run_kernel(segmented, library, opt, core::VgKernel::Fast);
+  EXPECT_GT(first.stats.soa_flush_elems, 0u);
+  EXPECT_TRUE(first.stats.same_counters(again.stats));
 
   // The reference kernel has no SoA machinery; its counters stay zero.
   const auto ref =
       run_kernel(segmented, library, opt, core::VgKernel::Reference);
   EXPECT_EQ(ref.stats.soa_flush_elems, 0u);
-  EXPECT_EQ(ref.stats.soa_full_lane_elems, 0u);
-  EXPECT_EQ(ref.stats.soa_tail_elems, 0u);
+  EXPECT_EQ(ref.stats.soa_prunes_no_move, 0u);
   EXPECT_EQ(ref.stats.pool_reuses, 0u);
 }
 

@@ -171,6 +171,42 @@ TEST(VgKernel, FastKernelCountersReportSortFreeOperation) {
   EXPECT_EQ(merged.stats.prune_sorts, 0u);
 }
 
+TEST(VgKernel, CrossCountRuleKeepsTheQuieterBufferedCandidate) {
+  // A net where the cross-count rule must compare all five fields: a
+  // tiny-cap, low-margin sink, one buffer site just above it, and a long
+  // coupled wire above the site with no further site. At the site the
+  // unbuffered candidate (bucket 0) has lower load and higher slack than
+  // the buffered one (bucket 1), but the buffered one carries no current
+  // and the buffer's higher noise margin. A (load, slack)-only rule would
+  // drop it; then the wire kills the unbuffered candidate on noise
+  // (0.1 V - 1000 ohm x 151 uA < 0) and no solution is left.
+  rct::RoutingTree net;
+  const rct::NodeId so = net.make_source(test::default_driver(100.0), "so");
+  const rct::NodeId site = net.add_internal(
+      so, rct::Wire{5000.0, 1000.0 * ohm, 200.0 * fF, 300.0 * uA}, "site");
+  net.add_sink(site, rct::Wire{10.0, 1.0 * ohm, 1.0 * fF, 1.0 * uA},
+               test::default_sink(1.0 * fF, 0.0, 0.1 * V, "s"));
+  net.validate();
+  lib::BufferLibrary library;
+  const lib::BufferId buf = library.add(
+      lib::BufferType{"buf", 100.0 * ohm, 10.0 * fF, 10.0 * ps, 0.8 * V});
+
+  core::VgOptions opt;
+  opt.check_invariants = true;
+  for (const core::VgKernel kernel :
+       {core::VgKernel::Fast, core::VgKernel::Reference}) {
+    SCOPED_TRACE(kernel == core::VgKernel::Fast ? "fast" : "reference");
+    opt.kernel = kernel;
+    const core::VgResult r = core::optimize(net, library, opt);
+    EXPECT_TRUE(r.feasible);
+    EXPECT_EQ(r.buffer_count, 1u);
+    EXPECT_EQ(test::sorted_entries(r.buffers),
+              (std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+                  {site.value(), buf.value()}}));
+    EXPECT_EQ(r.stats.pruned_cross_count, 0u);
+  }
+}
+
 TEST(VgKernel, CorruptedCandidateListIsCaughtByPromotedChecks) {
   // detail::verify_cand_list is the structural check both kernels run after
   // each DP step (at contract level 2 or with check_invariants); feed it
