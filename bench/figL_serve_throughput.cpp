@@ -13,13 +13,19 @@
 //   figL_serve_throughput [--quick] [--out BENCH_serve.json]
 //
 // writes {"bench", "nets", "cases", "rows": [{threads, cold_seconds,
-// incremental_seconds, cold_rps, incremental_rps, speedup, identical},
-// ...]} plus a summary table on stdout.
+// incremental_seconds, cold_rps, incremental_rps, speedup, identical,
+// plan_cells, cold_plan_cells}, ...]} plus a summary table on stdout.
+// plan_cells is the session's STATS count of DP plan cells after the
+// incremental stream; cold_plan_cells is the same count after the cold
+// stream, whose last run on every net was from scratch on the same final
+// tree.
 //
 // Pass/fail: exit 1 when any incremental answer differs from its
-// from-scratch twin (solution bytes, DP-effort trailer excluded), or when
-// the single-thread incremental stream is not >= 3x the cold throughput
-// (>= 1.2x under --quick, a loose floor for noisy shared CI runners).
+// from-scratch twin (solution bytes, DP-effort trailer excluded), when the
+// incremental session holds more or fewer plan cells than one cold run
+// (its memory must not grow with the stream), or when the single-thread
+// incremental stream is not >= 3x the cold throughput (>= 1.2x under
+// --quick, a loose floor for noisy shared CI runners).
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -51,6 +57,8 @@ struct Row {
   double inc_rps = 0.0;
   double speedup = 0.0;
   bool identical = false;
+  std::size_t plan_cells = 0;
+  std::size_t cold_plan_cells = 0;
 };
 
 struct Workload {
@@ -129,6 +137,7 @@ std::pair<std::size_t, std::size_t> shape_of(const std::string& payload) {
 struct PassResult {
   double seconds = 0.0;
   std::vector<std::string> solutions;  // per case, trailer stripped
+  std::size_t plan_cells = 0;          // session STATS after the stream
   bool ok = true;
 };
 
@@ -192,6 +201,15 @@ PassResult run_pass(std::uint16_t port, Workload& w, bool full) {
     }
     res.solutions.push_back(solution_of(r.payload));
   }
+  const Frame stats = client.call(Opcode::Stats, "");
+  const std::size_t at = stats.payload.find("\nplan_cells ");
+  if (stats.op == Opcode::Error || at == std::string::npos) {
+    std::fprintf(stderr, "STATS failed: %s\n", stats.payload.c_str());
+    res.ok = false;
+    return res;
+  }
+  std::sscanf(stats.payload.c_str() + at, "\nplan_cells %zu",
+              &res.plan_cells);
   return res;
 }
 
@@ -211,9 +229,11 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
                  "    {\"threads\": %zu, \"cold_seconds\": %.6f, "
                  "\"incremental_seconds\": %.6f, \"cold_rps\": %.1f, "
                  "\"incremental_rps\": %.1f, \"speedup\": %.2f, "
-                 "\"identical\": %s}%s\n",
+                 "\"identical\": %s, \"plan_cells\": %zu, "
+                 "\"cold_plan_cells\": %zu}%s\n",
                  r.threads, r.cold_seconds, r.inc_seconds, r.cold_rps,
                  r.inc_rps, r.speedup, r.identical ? "true" : "false",
+                 r.plan_cells, r.cold_plan_cells,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -245,11 +265,13 @@ int main(int argc, char** argv) {
   std::printf("== figL: serve throughput, cold vs incremental PERTURB "
               "(%zu nets, %zu cases) ==\n",
               nets, cases);
-  std::printf("%-8s %-10s %-10s %-10s %-10s %-8s %s\n", "threads", "cold s",
-              "inc s", "cold r/s", "inc r/s", "speedup", "identical");
+  std::printf("%-8s %-10s %-10s %-10s %-10s %-8s %-10s %-10s %s\n",
+              "threads", "cold s", "inc s", "cold r/s", "inc r/s", "speedup",
+              "identical", "inc cells", "cold cells");
 
   std::vector<Row> rows;
   bool all_identical = true;
+  bool cells_bounded = true;
   double speedup_1thread = 0.0;
   for (const std::size_t threads : {1, 2, 4, 8}) {
     serve::ServerOptions sopt;
@@ -271,12 +293,17 @@ int main(int argc, char** argv) {
     row.inc_rps = static_cast<double>(cases) / inc.seconds;
     row.speedup = cold.seconds / inc.seconds;
     row.identical = cold.solutions == inc.solutions;
+    row.plan_cells = inc.plan_cells;
+    row.cold_plan_cells = cold.plan_cells;
     all_identical = all_identical && row.identical;
+    cells_bounded = cells_bounded && row.plan_cells == row.cold_plan_cells;
     if (threads == 1) speedup_1thread = row.speedup;
     rows.push_back(row);
-    std::printf("%-8zu %-10.4f %-10.4f %-10.1f %-10.1f %-8.2f %s\n",
+    std::printf("%-8zu %-10.4f %-10.4f %-10.1f %-10.1f %-8.2f %-10s %-10zu "
+                "%zu\n",
                 row.threads, row.cold_seconds, row.inc_seconds, row.cold_rps,
-                row.inc_rps, row.speedup, row.identical ? "yes" : "NO");
+                row.inc_rps, row.speedup, row.identical ? "yes" : "NO",
+                row.plan_cells, row.cold_plan_cells);
   }
   write_json(out, rows, nets, cases);
 
@@ -284,6 +311,11 @@ int main(int argc, char** argv) {
   if (!all_identical) {
     std::printf("FAIL: an incremental answer diverged from its "
                 "from-scratch twin\n");
+    rc = 1;
+  }
+  if (!cells_bounded) {
+    std::printf("FAIL: the incremental session holds a different number of "
+                "plan cells than one cold run\n");
     rc = 1;
   }
   const double floor = quick ? 1.2 : 3.0;

@@ -229,13 +229,13 @@ void IncrementalContext::invalidate_all() { cache_.invalidate_all(); }
 
 const VgResult& IncrementalContext::optimize() {
   NBUF_TRACE_SPAN_TAGGED("incremental.optimize", tree_.node_count());
-  detail::ReferenceDp dp(tree_, lib_, opt_, arena_, &cache_);
+  detail::ReferenceDp dp(tree_, lib_, opt_, cache_);
   result_ = dp.run();
   have_result_ = true;
   ++stats_.runs;
   stats_.last_reused = cache_.reused;
   stats_.last_recomputed = cache_.recomputed;
-  stats_.plan_cells = arena_.cell_count();
+  stats_.plan_cells = cache_.cell_count();
   return result_;
 }
 

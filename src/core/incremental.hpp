@@ -20,9 +20,10 @@
 // IncrementalContext::apply(), and cross-checks against a cold
 // core::optimize on the same tree.
 //
-// Memory: the context owns one PlanArena for its whole lifetime (cached
-// candidates point into it), so arena cells accumulate across
-// re-optimizations; Stats::plan_cells tracks the growth.
+// Memory: every plan cell lives in the cache's region of the node whose DP
+// step made it, and a region is cleared when its node recomputes. So the
+// context holds exactly the cells of one cold run on the current tree,
+// however many edits it has seen; Stats::plan_cells reports that count.
 #pragma once
 
 #include <cstddef>
@@ -119,7 +120,7 @@ class IncrementalContext {
     std::size_t runs = 0;             // optimize() calls
     std::size_t last_reused = 0;      // subtrees served from cache last run
     std::size_t last_recomputed = 0;  // subtrees recomputed last run
-    std::size_t plan_cells = 0;       // arena size (monotone growth)
+    std::size_t plan_cells = 0;       // plan cells the cache holds
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -129,7 +130,6 @@ class IncrementalContext {
   rct::RoutingTree tree_;
   lib::BufferLibrary lib_;  // copy: the context outlives caller reloads
   VgOptions opt_;
-  PlanArena arena_;
   detail::SubtreeCache cache_;
   VgResult result_;
   bool have_result_ = false;

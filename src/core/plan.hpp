@@ -85,6 +85,9 @@ class PlanArena {
     return cells_.size();
   }
 
+  // Drops every cell; pointers and refs into the arena dangle afterwards.
+  void clear() noexcept { cells_.clear(); }
+
  private:
   std::deque<PlanCell> cells_;  // deque: stable addresses across growth
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <utility>
 
 #include "core/vg_kernel.hpp"
 #include "elmore/slew.hpp"
@@ -87,7 +88,7 @@ void ReferenceDp::extend_wire(NodeLists& lists, rct::NodeId child) {
             v.noise_slack -= res * (cur / 2.0 + v.current);
             v.current += cur;
             if (wi != 0)
-              v.plan = arena_.wire(v.plan, PlannedWire{child, wi});
+              v.plan = arena_->wire(v.plan, PlannedWire{child, wi});
             expanded.push_back(v);
             note_created(1);
           }
@@ -158,7 +159,7 @@ void ReferenceDp::insert_buffers(NodeLists& lists, rct::NodeId v) {
         nc.current = 0.0;
         nc.noise_slack = b.noise_margin;
         nc.dhat = 0.0;  // restoring gate: a fresh stage begins
-        nc.plan = arena_.buffer(best->plan, PlannedBuffer{v, 0.0, bid});
+        nc.plan = arena_->buffer(best->plan, PlannedBuffer{v, 0.0, bid});
         additions[k + cost] = nc;
         has[k + cost] = true;
       }
@@ -216,7 +217,7 @@ NodeLists ReferenceDp::merge(const NodeLists& l, const NodeLists& r) {
           m.current = a[i].current + b[j].current;
           m.noise_slack = std::min(a[i].noise_slack, b[j].noise_slack);
           m.dhat = std::max(a[i].dhat, b[j].dhat);
-          m.plan = arena_.merge(a[i].plan, b[j].plan);
+          m.plan = arena_->merge(a[i].plan, b[j].plan);
           dst.push_back(m);
           note_created(1);
           ++stats_.merged;
@@ -243,7 +244,11 @@ NodeLists ReferenceDp::process(rct::NodeId v) {
     ++cache_->reused;
     return cache_->lists[v.value()];  // copy: callers mutate their lists
   }
+  PlanArena& region = cache_->regions[v.value()];
+  region.clear();
+  PlanArena* const outer = std::exchange(arena_, &region);
   NodeLists lists = compute(v);
+  arena_ = outer;
   cache_->lists[v.value()] = lists;
   cache_->valid[v.value()] = 1;
   ++cache_->recomputed;
@@ -286,6 +291,16 @@ NodeLists ReferenceDp::compute(rct::NodeId v) {
 VgResult ReferenceDp::run() {
   if (cache_ != nullptr) {
     cache_->ensure_size(tree_.node_count());
+    // process() clears an invalid node's region, which is safe only while
+    // no valid list points into it: every invalid node's parent must be
+    // invalid too (edits invalidate whole root-ward spines).
+    if (NBUF_STRUCTURAL_CHECKS != 0)
+      for (std::uint32_t i = 0; i < tree_.node_count(); ++i) {
+        const rct::NodeId p = tree_.node(rct::NodeId{i}).parent;
+        NBUF_INVARIANT_CTX(
+            cache_->valid[i] || !p.valid() || !cache_->valid[p.value()],
+            util::ctx("node", i, "parent", p.value()));
+      }
     cache_->reused = 0;
     cache_->recomputed = 0;
   }

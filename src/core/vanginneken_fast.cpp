@@ -547,6 +547,7 @@ void FastVgRun::insert_buffers_best_pred(Lists& lists, rct::NodeId v) {
           ++stats_.pruned_inferior;
           continue;
         }
+        if (target.capacity() == 0) target = pool_.acquire();
         target.push_back(
             b.input_cap, ch.q, 0.0, b.noise_margin, 0.0,
             arena_.buffer_ref(view.plan[ch.idx], PlannedBuffer{v, 0.0, bid}));

@@ -8,6 +8,7 @@
 #include <array>
 #include <chrono>
 #include <cstddef>
+#include <deque>
 #include <vector>
 
 #include "core/plan.hpp"
@@ -340,12 +341,18 @@ class BestPredecessors {
 // computes), valid[v] says whether the cache may be served. Because the DP
 // state of a subtree is a pure function of that subtree, serving a cached
 // list is bit-identical to recomputing it as long as the subtree is
-// untouched — the foundation of core::IncrementalContext. Plans inside
-// cached candidates point into the arena the caching run used, so that
-// arena must outlive the cache.
+// untouched — the foundation of core::IncrementalContext.
+//
+// regions[v] owns every plan cell made while computing v: its buffer and
+// merge cells and the sizing cells of its child wires. Only the lists of v
+// and its ancestors point into it, and invalidation always covers whole
+// root-ward spines, so process(v) clears the region before it recomputes v.
+// The cache thus holds exactly the cells of one cold run on the current
+// tree. A deque: growing it never moves a region (and so never a cell).
 struct SubtreeCache {
   std::vector<NodeLists> lists;  // by node id
   std::vector<char> valid;       // by node id
+  std::deque<PlanArena> regions;  // by node id
   // Per-run tallies (reset by ReferenceDp::run): subtrees served from the
   // cache vs recomputed. Deterministic — a pure function of the dirty set.
   std::size_t reused = 0;
@@ -354,19 +361,27 @@ struct SubtreeCache {
   void ensure_size(std::size_t n) {
     if (lists.size() < n) lists.resize(n);
     if (valid.size() < n) valid.resize(n, 0);
+    if (regions.size() < n) regions.resize(n);
   }
   void invalidate(rct::NodeId v) {
     if (v.value() < valid.size()) valid[v.value()] = 0;
   }
   void invalidate_all() { std::fill(valid.begin(), valid.end(), 0); }
+  // Plan cells the cache holds, over all regions.
+  [[nodiscard]] std::size_t cell_count() const noexcept {
+    std::size_t n = 0;
+    for (const PlanArena& r : regions) n += r.cell_count();
+    return n;
+  }
 };
 
 // The reference (seed) DP, promoted out of vanginneken.cpp's anonymous
 // namespace so it can run in two modes:
 //   * one-shot (cache == nullptr, own arena) — the VgKernel::Reference
 //     oracle path of core::optimize, exactly the historic VgRun;
-//   * memoized (external cache + arena) — core::IncrementalContext re-runs
-//     it after perturbations and only the invalidated spine recomputes.
+//   * memoized (external cache, cells in its per-node regions) —
+//     core::IncrementalContext re-runs it after perturbations and only the
+//     invalidated spine recomputes.
 // Results are bit-identical between the modes (and to the fast kernel,
 // per the PR2/PR6 contract): cached lists hold the same candidate values a
 // cold run would build, cand_less ties resolve by plan CONTENT (not
@@ -374,9 +389,13 @@ struct SubtreeCache {
 class ReferenceDp {
  public:
   ReferenceDp(const rct::RoutingTree& tree, const lib::BufferLibrary& lib,
-              const VgOptions& opt, PlanArena& arena,
-              SubtreeCache* cache = nullptr)
-      : tree_(tree), lib_(lib), opt_(opt), arena_(arena), cache_(cache) {
+              const VgOptions& opt, PlanArena& arena)
+      : tree_(tree), lib_(lib), opt_(opt), arena_(&arena) {
+    stats_.lib_types = lib_.size();
+  }
+  ReferenceDp(const rct::RoutingTree& tree, const lib::BufferLibrary& lib,
+              const VgOptions& opt, SubtreeCache& cache)
+      : tree_(tree), lib_(lib), opt_(opt), cache_(&cache) {
     stats_.lib_types = lib_.size();
   }
 
@@ -398,8 +417,8 @@ class ReferenceDp {
   const rct::RoutingTree& tree_;
   const lib::BufferLibrary& lib_;
   const VgOptions& opt_;
-  PlanArena& arena_;
-  SubtreeCache* cache_;
+  PlanArena* arena_ = nullptr;  // memoized: the region of the node in work
+  SubtreeCache* cache_ = nullptr;
   util::VgStats stats_;
 };
 

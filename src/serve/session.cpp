@@ -419,6 +419,11 @@ struct Session::Impl {
            "\n";
     out += "subtrees_recomputed " +
            std::to_string(counters.subtrees_recomputed) + "\n";
+    // The DP memory the session holds: one cold run's cells per context.
+    std::size_t cells = 0;
+    for (const auto& [name, e] : nets)
+      if (e.ctx != nullptr) cells += e.ctx->stats().plan_cells;
+    out += "plan_cells " + std::to_string(cells) + "\n";
     return out;
   }
 

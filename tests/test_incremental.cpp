@@ -8,6 +8,7 @@
 #include "noise/devgan.hpp"
 #include "noise/incremental.hpp"
 #include "seg/segment.hpp"
+#include "steiner/builders.hpp"
 #include "steiner/steiner.hpp"
 #include "util/rng.hpp"
 
@@ -347,6 +348,69 @@ TEST(IncrementalContext, InvalidateAllForcesColdRun) {
   EXPECT_EQ(ctx.stats().last_recomputed, ctx.tree().node_count());
   EXPECT_TRUE(core::same_solution(first, again));
   EXPECT_EQ(ctx.stats().runs, 2u);
+}
+
+// Plan cells are kept per node and cleared when their node recomputes, so
+// however long the edit chain, the context holds exactly the cells a cold
+// run on the current tree makes. Covers local edits, splits, the two global
+// edits and invalidate_all, with and without wire sizing (whose cells are
+// made at the parent of the sized wire).
+TEST(IncrementalContext, PlanCellsEqualAColdContextAfterAnyEditChain) {
+  util::Rng rng(20261019);
+  for (int trial = 0; trial < 4; ++trial) {
+    core::VgOptions opt = inc_options();
+    if (trial % 2 == 1) opt.wire_widths = lib::default_wire_widths();
+    core::IncrementalContext ctx(random_dp_net(rng), kLib, opt);
+    (void)ctx.optimize();
+    for (int step = 0; step < 64; ++step) {
+      core::Perturbation p;
+      switch (rng.uniform_int(0, 9)) {
+        case 0:
+          p.kind = core::Perturbation::Kind::TightenMargins;
+          p.delta = rng.uniform(-0.02, 0.02);
+          (void)ctx.apply(p);
+          break;
+        case 1:
+          p.kind = core::Perturbation::Kind::ScaleCoupling;
+          p.factor = rng.uniform(0.8, 1.25);
+          (void)ctx.apply(p);
+          break;
+        case 2:
+          ctx.invalidate_all();
+          break;
+        default:
+          (void)ctx.apply(core::random_perturbation(rng, ctx.tree()));
+      }
+      const core::VgResult& got = ctx.optimize();
+      core::IncrementalContext cold(ctx.tree(), kLib, opt);
+      const core::VgResult& want = cold.optimize();
+      ASSERT_EQ(ctx.stats().plan_cells, cold.stats().plan_cells)
+          << "trial " << trial << " step " << step;
+      ASSERT_TRUE(core::same_solution(got, want))
+          << "trial " << trial << " step " << step;
+    }
+  }
+
+  // Do/undo pairs by powers of two restore the tree exactly, and with it
+  // the cell count of the first cold run.
+  rct::SinkInfo proto = default_sink(10.0 * fF, 3000.0 * ps);
+  auto t = steiner::make_balanced_tree(4, 600.0, default_driver(), proto,
+                                       lib::default_technology());
+  t.binarize();
+  seg::segment(t, {150.0});
+  core::IncrementalContext ctx(std::move(t), kLib, inc_options());
+  const core::VgResult first = ctx.optimize();
+  const std::size_t cold_cells = ctx.stats().plan_cells;
+  ASSERT_GT(cold_cells, 0u);
+  for (int pair = 0; pair < 40; ++pair) {
+    const auto v = rct::NodeId{static_cast<std::uint32_t>(
+        rng.uniform_int(1, static_cast<int>(ctx.tree().node_count()) - 1))};
+    ctx.scale_wire(v, 2.0, 2.0, 2.0);
+    (void)ctx.optimize();
+    ctx.scale_wire(v, 0.5, 0.5, 0.5);
+    EXPECT_TRUE(core::same_solution(ctx.optimize(), first)) << "pair " << pair;
+    EXPECT_EQ(ctx.stats().plan_cells, cold_cells) << "pair " << pair;
+  }
 }
 
 TEST(Incremental, DecouplingNeverIncreasesNoise) {

@@ -177,6 +177,9 @@ TEST(ServeSession, LoadOptimizeSignoffStatsLifecycle) {
   EXPECT_EQ(field_of(st.payload, "optimizes"), "1");
   EXPECT_EQ(field_of(st.payload, "signoffs"), "1");
   EXPECT_EQ(field_of(st.payload, "errors"), "0");
+  // The optimized net's context holds the plan cells of its cold run.
+  EXPECT_NE(field_of(st.payload, "plan_cells"), "");
+  EXPECT_NE(field_of(st.payload, "plan_cells"), "0");
   EXPECT_FALSE(session.shutdown_requested());
 }
 
