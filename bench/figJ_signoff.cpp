@@ -65,6 +65,7 @@ int main(int argc, char** argv) {
   double base_wall = 0.0;
   signoff::WorkloadSignoff last;
   std::string base_fingerprint;
+  std::size_t base_steps = 0;
   bool deterministic = true;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     wopt.threads = threads;
@@ -76,7 +77,9 @@ int main(int argc, char** argv) {
     if (threads == 1) {
       base_wall = last.wall_seconds;
       base_fingerprint = fingerprint;
-    } else if (fingerprint != base_fingerprint) {
+      base_steps = last.golden_steps;
+    } else if (fingerprint != base_fingerprint ||
+               last.golden_steps != base_steps) {
       deterministic = false;
     }
     scaling.add_row({util::Table::integer(threads),
@@ -97,6 +100,9 @@ int main(int argc, char** argv) {
                                                           : "BOUND BROKEN");
   std::printf("deterministic:  %s across 1/2/4/8 verifier threads\n",
               deterministic ? "yes" : "NO");
+  std::printf("golden steps:   %zu of %zu horizon steps marched (%.1f%%)\n",
+              last.golden_steps, last.golden_horizon_steps,
+              100.0 * last.golden_step_share());
 
   const signoff::PessimismStats& p = last.pessimism;
   std::printf("\npessimism (metric/golden over %zu leaves): min %.3f, "

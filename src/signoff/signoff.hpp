@@ -131,6 +131,10 @@ struct SignoffReport {
   double worst_metric_slack = 0.0;  // volt
   double worst_timing_slack = 0.0;  // second, min over true sinks
   PessimismStats pessimism;
+  // Golden-simulation work (sim::GoldenReport::steps / horizon_steps); 0
+  // when golden did not answer. Not part of the JSON report.
+  std::size_t golden_steps = 0;
+  std::size_t golden_horizon_steps = 0;
 
   [[nodiscard]] bool pass() const noexcept { return violations.empty(); }
   [[nodiscard]] std::size_t count(ViolationKind kind) const;

@@ -52,9 +52,20 @@ struct WorkloadSignoff {
   double worst_metric_slack = 0.0;  // volt
   double worst_timing_slack = 0.0;  // second
   PessimismStats pessimism;         // merged over all nets, index order
+  // Backward-Euler steps golden simulation marched, and the steps its
+  // settling cap allowed, summed over all nets; their ratio is the share
+  // of the cap actually marched (docs/signoff.md). Not in the JSON.
+  std::size_t golden_steps = 0;
+  std::size_t golden_horizon_steps = 0;
   double wall_seconds = 0.0;        // end-to-end verify wall time
 
   [[nodiscard]] bool pass() const noexcept { return violations == 0; }
+  [[nodiscard]] double golden_step_share() const {
+    return golden_horizon_steps > 0
+               ? static_cast<double>(golden_steps) /
+                     static_cast<double>(golden_horizon_steps)
+               : 0.0;
+  }
   [[nodiscard]] double nets_per_second() const {
     return wall_seconds > 0.0
                ? static_cast<double>(net_count) / wall_seconds
@@ -77,8 +88,9 @@ struct WorkloadSignoff {
                                   bool include_leaves = false);
 
 // Folds the workload aggregates into a MetricsRegistry: pass/violation
-// totals and the pessimism histogram bins as "signoff.*" counters
-// (schedule-independent), slack extrema and throughput as gauges.
+// totals, golden step totals and the pessimism histogram bins as
+// "signoff.*" counters (schedule-independent), slack extrema and
+// throughput as gauges.
 void record_metrics(obs::MetricsRegistry& reg, const WorkloadSignoff& w);
 
 }  // namespace nbuf::signoff

@@ -30,9 +30,11 @@ std::vector<double> stage_crossings(const StageCircuit& c,
   const double t_end =
       opt.driver_rise + opt.settle_time_constants * r_total * c_total;
 
+  std::vector<double> cap_h(n);  // C_i / h
+  for (std::size_t i = 0; i < n; ++i) cap_h[i] = c.total_cap(i) / h;
   std::vector<double> extra(n, 0.0);
   extra[0] = 1.0 / driver_resistance;
-  for (std::size_t i = 0; i < n; ++i) extra[i] += c.total_cap(i) / h;
+  for (std::size_t i = 0; i < n; ++i) extra[i] += cap_h[i];
   const TreeSolver solver(c.parent, c.branch_g, extra);
 
   const double half = opt.vdd / 2.0;
@@ -42,13 +44,12 @@ std::vector<double> stage_crossings(const StageCircuit& c,
   std::size_t found = 0;
   for (std::size_t step = 1; step <= steps && found < n; ++step) {
     const double t = static_cast<double>(step) * h;
-    for (std::size_t i = 0; i < n; ++i)
-      rhs[i] = c.total_cap(i) / h * v[i];
+    for (std::size_t i = 0; i < n; ++i) rhs[i] = cap_h[i] * v[i];
     // Driver: Norton source g * v_ramp(t) into the root.
     rhs[0] += ramp.at(t) / driver_resistance;
-    prev = v;
     solver.solve(rhs);
-    v = rhs;
+    prev.swap(v);  // prev = last step's state
+    v.swap(rhs);   // v = this step's; rhs is rewritten next step
     for (std::size_t i = 0; i < n; ++i) {
       if (crossing[i] >= 0.0 || v[i] < half) continue;
       // Linear interpolation inside the step.

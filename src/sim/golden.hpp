@@ -14,8 +14,19 @@
 // input pins as capacitive leaves). Victim wires are subdivided into short
 // pi-sections, so the distributed RC line is modeled faithfully; the
 // resulting tree system is solved by the O(n) TreeSolver per timestep.
+//
+// Horizon (docs/signoff.md, "Simulation horizon"): each stage marches until
+// no peak and no pulse width can change any more. After the aggressor ramp
+// saturates, a backward-Euler step of the driver-grounded tree never raises
+// max_i |v_i| (discrete maximum principle), so the march stops at the first
+// such step where that maximum is below every node's peak and below half
+// the peak of every leaf (guarded by a relative 1e-9), or the state is
+// exactly zero. The reported numbers are bit-identical to marching the
+// whole settling bound, rise + settle_time_constants * R_total * C_total,
+// which remains only as the cap.
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <vector>
 
@@ -30,7 +41,7 @@ struct GoldenOptions {
   SaturatedRamp aggressor;      // the switching neighbor
   double section_length = 100.0;    // µm — pi-section granularity
   double steps_per_rise = 200.0;    // timestep = rise / steps_per_rise
-  double settle_time_constants = 8.0;  // simulate rise + k * stage tau
+  double settle_time_constants = 8.0;  // cap: rise + k * stage tau
   // Step-size sanity check: every stage is re-simulated with the timestep
   // halved, and each leaf's peak must agree with the coarse run within
   // max(convergence_atol, convergence_rtol * peak). A disagreement means
@@ -71,6 +82,10 @@ struct GoldenReport {
   std::vector<GoldenLeaf> sinks;  // true sinks only, indexed by SinkId
   double worst_slack = 0.0;
   std::size_t violation_count = 0;
+  // Backward-Euler steps marched over every stage (and the dt/2 pass when
+  // check_convergence is set), and the steps the settling cap allowed.
+  std::size_t steps = 0;
+  std::size_t horizon_steps = 0;
   [[nodiscard]] bool clean() const noexcept { return violation_count == 0; }
 };
 
@@ -89,5 +104,25 @@ struct GoldenReport {
 [[nodiscard]] std::vector<std::pair<rct::NodeId, double>> golden_stage_peaks(
     const rct::RoutingTree& tree, const rct::Stage& stage,
     const GoldenOptions& options);
+
+namespace detail {
+
+// One stage marched at `steps_per_rise`, without the convergence check.
+// With `full_horizon` the early exit is off and the march runs to the
+// settling cap: the reference the exit is tested against, not a
+// production mode.
+struct StageMarch {
+  std::vector<double> peaks;   // per sim node, wire-interior nodes included
+  std::vector<double> widths;  // per stage.sinks entry
+  std::size_t steps = 0;          // backward-Euler steps marched
+  std::size_t horizon_steps = 0;  // steps to the settling cap
+};
+[[nodiscard]] StageMarch march_stage(const rct::RoutingTree& tree,
+                                     const rct::Stage& stage,
+                                     const GoldenOptions& options,
+                                     double steps_per_rise,
+                                     bool full_horizon);
+
+}  // namespace detail
 
 }  // namespace nbuf::sim

@@ -15,6 +15,7 @@
 #include "common/test_nets.hpp"
 #include "core/tool.hpp"
 #include "netgen/netgen.hpp"
+#include "obs/metrics.hpp"
 #include "util/json.hpp"
 #include "signoff/signoff.hpp"
 #include "signoff/workload.hpp"
@@ -253,6 +254,40 @@ TEST_F(SignoffWorkload, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial.worst_golden_slack, parallel.worst_golden_slack);
   EXPECT_EQ(serial.worst_metric_slack, parallel.worst_metric_slack);
   EXPECT_EQ(serial.worst_timing_slack, parallel.worst_timing_slack);
+}
+
+TEST_F(SignoffWorkload, GoldenStepCountersAreScheduleIndependent) {
+  // The golden step totals are folded serially like every other counter,
+  // so the metrics snapshot agrees at 1 and 8 threads; the early exit
+  // leaves most of the settling cap unmarched.
+  signoff::WorkloadOptions wopt;
+  wopt.signoff = default_options();
+  std::vector<obs::MetricsSnapshot> snaps;
+  std::vector<signoff::WorkloadSignoff> runs;
+  for (const std::size_t threads : {1u, 8u}) {
+    wopt.threads = threads;
+    runs.push_back(signoff::run_workload(*nets_, *results_, kLib, wopt));
+    obs::MetricsRegistry reg;
+    signoff::record_metrics(reg, runs.back());
+    snaps.push_back(reg.snapshot());
+  }
+  EXPECT_TRUE(snaps[0].deterministic_equal(snaps[1]));
+  std::size_t seen = 0;
+  for (const auto& row : snaps[0].counters) {
+    if (row.name == "signoff.golden_steps") {
+      EXPECT_EQ(row.value, runs[0].golden_steps);
+      ++seen;
+    } else if (row.name == "signoff.golden_horizon_steps") {
+      EXPECT_EQ(row.value, runs[0].golden_horizon_steps);
+      ++seen;
+    }
+  }
+  EXPECT_EQ(seen, 2u);
+  EXPECT_GT(runs[0].golden_steps, 0u);
+  EXPECT_LT(runs[0].golden_steps, runs[0].golden_horizon_steps);
+  EXPECT_LT(runs[0].golden_step_share(), 0.5);
+  // The totals stay out of the nbuf-signoff-v1 document.
+  EXPECT_EQ(signoff::to_json(runs[0]).find("steps"), std::string::npos);
 }
 
 TEST_F(SignoffWorkload, WorkloadJsonCarriesSchemaAndCounts) {

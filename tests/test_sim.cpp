@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/test_nets.hpp"
 #include "noise/devgan.hpp"
@@ -317,6 +319,138 @@ TEST(Golden, TreeSolverPathMatchesDenseCircuit) {
   const double h = tech.aggressor_rise / opt.steps_per_rise;
   const auto res = dc.transient(4e-9, h);
   EXPECT_NEAR(res.peak_abs[root + n_sec], tree_peak, 0.03 * tree_peak);
+}
+
+// --- golden horizon: the early exit vs the full march -------------------------
+
+// A random stage tree: `sinks` sinks under a random tree of internal nodes,
+// wire R and C and the driver R scaled from the default technology. With
+// sinks == 0 it is a single-node stage: one sink on a zero-length wire,
+// which the circuit collapses onto the driver node.
+rct::RoutingTree random_stage_tree(util::Rng& rng, int sinks, double r_scale,
+                                   double c_scale, double d_scale) {
+  const auto tech = lib::default_technology();
+  rct::RoutingTree t;
+  const rct::NodeId src = t.make_source(test::default_driver(150.0 * d_scale));
+  if (sinks == 0) {
+    t.add_sink(src, rct::Wire{}, test::default_sink());
+    return t;
+  }
+  auto wire = [&] {
+    const double len = rng.log_uniform(20.0, 1500.0);
+    return rct::Wire{len, tech.wire_res(len) * r_scale,
+                     tech.wire_cap(len) * c_scale, 0.0};
+  };
+  std::vector<rct::NodeId> tops{src};
+  auto any_top = [&] {
+    return tops[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(tops.size()) - 1))];
+  };
+  for (int s = 0; s < sinks; ++s) {
+    if (rng.chance(0.6)) tops.push_back(t.add_internal(any_top(), wire()));
+    t.add_sink(any_top(), wire(),
+               test::default_sink(rng.uniform(4.0, 40.0) * fF));
+  }
+  return t;
+}
+
+// The settling cap of a stage in steps at `steps_per_rise`, from the same
+// R_total * C_total estimate the simulator uses (pin caps included).
+double horizon_steps_estimate(const rct::RoutingTree& t,
+                              const sim::GoldenOptions& opt,
+                              double steps_per_rise) {
+  double r = t.driver().resistance, c = 0.0;
+  for (std::size_t i = 0; i < t.node_count(); ++i) {
+    const rct::Node& n = t.node(rct::NodeId{static_cast<std::uint32_t>(i)});
+    r += n.parent_wire.resistance;
+    c += n.parent_wire.capacitance;
+  }
+  for (const rct::SinkInfo& s : t.sinks()) c += s.cap;
+  return (opt.aggressor.rise + opt.settle_time_constants * r * c) /
+         (opt.aggressor.rise / steps_per_rise);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(GoldenHorizon, EarlyExitMatchesTheFullMarchBitForBit) {
+  // Scales are drawn log-uniformly from [1e-3, 1e3] and redrawn while the
+  // reference march would exceed 2e5 steps at dt/2 (its cost, not the
+  // exit's, is what limits the suite); test_golden_sim covers the long
+  // horizons of real unbuffered nets against recorded full marches.
+  // Every third stage sees the ramp start late, so the march begins in a
+  // zero state that must not end it before the ramp has saturated.
+  util::Rng rng(1606);
+  std::size_t marches = 0, stopped = 0;
+  for (int trial = 0; trial < 72; ++trial) {
+    auto opt = sim::golden_options_from(lib::default_technology());
+    if (trial % 3 == 1)
+      opt.aggressor.t0 = rng.uniform(0.1, 2.0) * opt.aggressor.rise;
+    const int sinks = trial % 8 == 0 ? 0 : rng.uniform_int(1, 6);
+    util::Rng topo(rng.uniform_int(0, 1 << 30));
+    rct::RoutingTree t;
+    double r_scale = 1.0, c_scale = 1.0, d_scale = 1.0;
+    do {
+      r_scale = rng.log_uniform(1e-3, 1e3);
+      c_scale = rng.log_uniform(1e-3, 1e3);
+      d_scale = rng.log_uniform(1e-3, 1e3);
+      util::Rng copy = topo;
+      t = random_stage_tree(copy, sinks, r_scale, c_scale, d_scale);
+    } while (horizon_steps_estimate(t, opt, 2.0 * opt.steps_per_rise) > 2e5);
+    const auto stages =
+        rct::decompose(t, rct::BufferAssignment{}, lib::BufferLibrary{});
+    ASSERT_EQ(stages.size(), 1u);
+    for (const double spr : {opt.steps_per_rise, 2.0 * opt.steps_per_rise}) {
+      const auto early =
+          sim::detail::march_stage(t, stages[0], opt, spr, false);
+      const auto full = sim::detail::march_stage(t, stages[0], opt, spr, true);
+      SCOPED_TRACE(::testing::Message()
+                   << "trial " << trial << " sinks " << sinks << " t0 "
+                   << opt.aggressor.t0 << " R x"
+                   << r_scale << " C x" << c_scale << " Rd x" << d_scale
+                   << " steps/rise " << spr);
+      EXPECT_EQ(full.steps, full.horizon_steps);
+      EXPECT_EQ(early.horizon_steps, full.horizon_steps);
+      EXPECT_LE(early.steps, full.steps);
+      ASSERT_EQ(early.peaks.size(), full.peaks.size());
+      for (std::size_t i = 0; i < full.peaks.size(); ++i)
+        EXPECT_EQ(bits(early.peaks[i]), bits(full.peaks[i])) << "node " << i;
+      ASSERT_EQ(early.widths.size(), full.widths.size());
+      for (std::size_t i = 0; i < full.widths.size(); ++i)
+        EXPECT_EQ(bits(early.widths[i]), bits(full.widths[i])) << "leaf " << i;
+      ++marches;
+      if (early.steps < full.steps) ++stopped;
+    }
+  }
+  // The exit must actually fire: on most stages it ends the march early.
+  EXPECT_GE(10 * stopped, 9 * marches) << stopped << " of " << marches;
+}
+
+TEST(GoldenHorizon, ZeroStateStopsAtSaturation) {
+  // Without coupling nothing excites the stage; the all-zero state stays
+  // zero, so the march ends at the step the ramp saturates.
+  auto t = test::long_two_pin(3000.0);
+  auto opt = sim::golden_options_from(lib::default_technology());
+  opt.coupling_ratio = 0.0;
+  const auto stages =
+      rct::decompose(t, rct::BufferAssignment{}, lib::BufferLibrary{});
+  const auto m = sim::detail::march_stage(t, stages[0], opt,
+                                          opt.steps_per_rise, false);
+  EXPECT_EQ(m.steps, static_cast<std::size_t>(opt.steps_per_rise));
+  EXPECT_LT(m.steps, m.horizon_steps);
+  for (double p : m.peaks) EXPECT_EQ(p, 0.0);
+  for (double w : m.widths) EXPECT_EQ(w, 0.0);
+}
+
+TEST(GoldenHorizon, ReportCountsMarchedAndHorizonSteps) {
+  auto t = test::long_two_pin(5000.0);
+  auto opt = sim::golden_options_from(lib::default_technology());
+  const auto plain = sim::golden_analyze_unbuffered(t, opt);
+  EXPECT_GT(plain.steps, 0u);
+  EXPECT_LT(plain.steps, plain.horizon_steps);
+  opt.check_convergence = true;  // the dt/2 pass adds its own steps
+  const auto checked = sim::golden_analyze_unbuffered(t, opt);
+  EXPECT_GT(checked.steps, plain.steps);
+  EXPECT_GT(checked.horizon_steps, plain.horizon_steps);
 }
 
 TEST(Golden, OptionsFromTechnology) {

@@ -552,6 +552,9 @@ int signoff_main(int argc, char** argv) {
 
   std::printf("%-22s %.1f nets/sec (wall %.3f s)\n",
               "verify:", w.nets_per_second(), w.wall_seconds);
+  std::printf("%-22s %zu of %zu horizon step(s) marched (%.1f%%)\n",
+              "golden steps:", w.golden_steps, w.golden_horizon_steps,
+              100.0 * w.golden_step_share());
   std::printf("%-22s %zu/%zu net(s) clean, %zu violation record(s)\n",
               "signoff:", w.passed, w.net_count, w.violations);
   for (std::size_t k = 0; k < signoff::kViolationKinds; ++k)
